@@ -4,7 +4,7 @@ Library layout:
 
 * params       -- SystemParams (all rates in one frequency unit)
 * fock         -- truncated composite space and elementary operators
-* dynamics     -- Hamiltonians and the Lindblad generator
+* dynamics     -- Hamiltonians and the Lindblad generator (cached affine table)
 * steadystate  -- steady-state solve, photon numbers, g2(0)
 * weakdrive    -- two-excitation ansatz, closed-form amplitudes and g2(0)
 * meanfield    -- transmission/reflection spectra, scatterer coupling

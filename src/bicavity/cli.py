@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import configparser
+import dataclasses
 import json
 import sys
 
@@ -129,11 +130,9 @@ def _parse_config(path) -> SweepSpec:
 
 def _finish_sweep(spec: SweepSpec, args, out_path) -> int:
     if args.engine:
-        spec = SweepSpec(spec.base, spec.axes, spec.outputs, args.engine,
-                         spec.cutoffs, spec.tie_delta_a, spec.label)
+        spec = dataclasses.replace(spec, engine=args.engine)
     if args.cutoff:
-        spec = SweepSpec(spec.base, spec.axes, spec.outputs, spec.engine,
-                         (args.cutoff, args.cutoff), spec.tie_delta_a, spec.label)
+        spec = dataclasses.replace(spec, cutoffs=(args.cutoff, args.cutoff))
     table = run_sweep(spec, threads=args.threads)
     if getattr(args, "log10", False):
         g2_cols = [c for c in table.columns if c.startswith("g2")]

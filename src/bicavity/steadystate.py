@@ -1,8 +1,12 @@
 """Steady state of the Lindblad equation and photon-statistics observables.
 
-The kernel of the Liouvillian is found by replacing one row of the
-dim^2 x dim^2 system with the vectorised trace constraint and solving the
-dense linear system (small dimensions; dense LU is simpler and fast enough).
+steady_state() solves L[rho] = 0 in the Hermitian real coordinates of
+dynamics.operator_table: the generator's cached affine parts are summed with
+the point's parameters and scattered into a dense real dim^2 x dim^2 matrix,
+one row is replaced by the trace constraint, and a real LU solves it.  The
+residual max |L[rho]| is then checked by a sparse product with the same table
+entries, with a least-squares fallback, and rho must be positive
+semi-definite.  The observables read photon numbers cached in the same table.
 """
 
 from __future__ import annotations
@@ -11,13 +15,20 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import Superoperator, liouvillian, vectorize, unvectorize
+# liouvillian and annihilator are not used here; perfbench/tracer.py wraps them
+# as attributes of this module, so they stay importable from it.
+from .dynamics import (  # noqa: F401
+    Superoperator,
+    from_real_coordinates,
+    liouvillian,
+    operator_table,
+)
 from .errors import (
     DegenerateSteadyStateError,
     SteadyStateSolverError,
     UndefinedCorrelationError,
 )
-from .fock import FockSpace, annihilator, build_space
+from .fock import MODES, FockSpace, annihilator, build_space  # noqa: F401
 from .params import SystemParams
 
 RESIDUAL_TOL = 1e-10
@@ -34,12 +45,6 @@ class DensityMatrix:
     residual: float
 
 
-def _trace_row(dim: int) -> np.ndarray:
-    row = np.zeros(dim * dim, dtype=complex)
-    row[np.arange(dim) * dim + np.arange(dim)] = 1.0
-    return row
-
-
 def steady_state(lv: Superoperator) -> DensityMatrix:
     """Solve L[rho] = 0 with Tr(rho) = 1.
 
@@ -47,30 +52,33 @@ def steady_state(lv: Superoperator) -> DensityMatrix:
     SteadyStateSolverError if the residual cannot be brought below tolerance.
     """
     dim = lv.space.dim
-    lmat = lv.matrix
-    system = lmat.copy()
-    system[0, :] = _trace_row(dim)
-    rhs = np.zeros(dim * dim, dtype=complex)
+    table = operator_table(lv.space)
+    values = table.values(lv.params)
+    system = table.dense(values)
+    trace = np.zeros(dim * dim)
+    trace[np.arange(dim) * (dim + 1)] = 1.0
+    # Row 0 is the equation Re L[rho][0, 0] = 0; the trace condition replaces it.
+    first = system[0].copy()
+    system[0] = trace
+    rhs = np.zeros(dim * dim)
     rhs[0] = 1.0
 
     try:
-        vec = np.linalg.solve(system, rhs)
+        x = np.linalg.solve(system, rhs)
     except np.linalg.LinAlgError as exc:
         raise DegenerateSteadyStateError(
             "trace-constrained Liouvillian system is singular; the steady "
             "state is not unique at this parameter point"
         ) from exc
 
-    rho = _clean(unvectorize(vec, dim))
-    residual = float(np.max(np.abs(lmat @ vectorize(rho))))
+    rho, residual = _state(table, values, x, trace)
     if residual > RESIDUAL_TOL:
         # Least-squares on the stacked [L; trace] system as a fallback.
-        stacked = np.vstack([lmat, _trace_row(dim)])
-        target = np.zeros(dim * dim + 1, dtype=complex)
+        system[0] = first
+        target = np.zeros(dim * dim + 1)
         target[-1] = 1.0
-        vec, *_ = np.linalg.lstsq(stacked, target, rcond=None)
-        rho = _clean(unvectorize(vec, dim))
-        residual = float(np.max(np.abs(lmat @ vectorize(rho))))
+        x, *_ = np.linalg.lstsq(np.vstack([system, trace]), target, rcond=None)
+        rho, residual = _state(table, values, x, trace)
         if residual > RESIDUAL_TOL:
             raise SteadyStateSolverError(
                 f"steady-state residual {residual:.3e} above {RESIDUAL_TOL:.0e}",
@@ -86,34 +94,44 @@ def steady_state(lv: Superoperator) -> DensityMatrix:
     return DensityMatrix(rho, lv.space, residual)
 
 
-def _clean(rho: np.ndarray) -> np.ndarray:
-    rho = 0.5 * (rho + rho.conj().T)
-    return rho / np.trace(rho).real
+def _state(table, values, x, trace) -> tuple[np.ndarray, float]:
+    """Unit-trace rho from real coordinates x, and its residual max |L[rho]|."""
+    x = x / (trace @ x)
+    dim = table.space.dim
+    residual = float(np.max(np.abs(from_real_coordinates(table.matvec(values, x), dim))))
+    return from_real_coordinates(x, dim), residual
+
+
+def _number(rho: DensityMatrix, mode: str) -> np.ndarray:
+    number = operator_table(rho.space).number.get(mode.lower())
+    if number is None:
+        raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
+    return number
 
 
 def mean_photon(rho: DensityMatrix, mode: str) -> float:
     """Tr(rho a'a) for the chosen mode."""
-    a = annihilator(rho.space, mode)
-    return float(np.trace(rho.matrix @ (a.conj().T @ a)).real)
+    return float(rho.matrix.diagonal().real @ _number(rho, mode))
 
 
 def g2_zero(rho: DensityMatrix, mode: str, underflow_guard: float = 1e-30) -> float:
     """Equal-time second-order correlation Tr(rho a'a'aa) / Tr(rho a'a)^2."""
-    a = annihilator(rho.space, mode)
-    n = np.trace(rho.matrix @ (a.conj().T @ a)).real
+    number = _number(rho, mode)
+    populations = rho.matrix.diagonal().real
+    n = populations @ number
     if n <= underflow_guard:
         raise UndefinedCorrelationError(
             f"mean photon number {n:.3e} below underflow guard "
             f"{underflow_guard:.0e}; g2(0) is undefined"
         )
-    two = np.trace(rho.matrix @ (a.conj().T @ a.conj().T @ a @ a)).real
+    # a'a'aa = a'a (a'a - 1) is diagonal too.
+    two = populations @ (number * (number - 1.0))
     return float(two / n**2)
 
 
 def solve_steady(params: SystemParams, n_a_max: int = 4, n_b_max: int = 4) -> DensityMatrix:
-    """Convenience: build the space and Liouvillian, then solve."""
-    space = build_space(n_a_max, n_b_max)
-    return steady_state(liouvillian(params, space))
+    """Convenience: build the space, then solve."""
+    return steady_state(Superoperator(params, build_space(n_a_max, n_b_max)))
 
 
 def master_equation_g2(
