@@ -22,6 +22,7 @@ from .errors import (
     SteadyStateSolverError,
     SweepError,
     UndefinedCorrelationError,
+    WeakDriveDomainError,
 )
 from .params import SystemParams, reference_baseline
 from .fock import (

@@ -30,7 +30,6 @@ from .sweep import (
     MASTER_OUTPUTS,
     SweepSpec,
     Axis,
-    default_threads,
     emit_csv,
     figure_preset,
     linear_axis,

@@ -14,9 +14,10 @@ Conventions
 
 Affine operator table
 ---------------------
-Every SystemParams field enters the generator linearly, L = sum_k theta_k L_k.
-operator_table(space) builds the parts L_k once per space, by index
-arithmetic on the nonzeros of the (real) ladder operators, and caches them.
+Every SystemParams field enters L and H_nh linearly: L = sum_k theta_k L_k and
+H_nh = sum_k theta_k H_k.  operator_table(space) caches both per space.  The L_k
+are built by index arithmetic on the nonzeros of the (real) ladder operators
+when a Lindblad solve first asks for them; the weak-drive path never does.
 
 L maps Hermitian matrices to Hermitian matrices and every theta_k is real, so
 the table stores L in Hermitian real coordinates: one real slot per vec
@@ -65,39 +66,71 @@ def from_real_coordinates(x: np.ndarray, dim: int) -> np.ndarray:
     return np.diag(np.diag(m)) + upper + upper.T + 1j * (lower.T - lower)
 
 
+def theta(params: SystemParams) -> np.ndarray:
+    """The parameter point as the coefficient vector of the table's parts."""
+    return np.array([getattr(params, name) for name in FIELDS])
+
+
 @dataclass(frozen=True)
 class OperatorTable:
     """Parameter-independent parts of the model on one space (read-only arrays).
 
-    hamiltonian -- coherent field -> real symmetric operator it multiplies in H
-    jumps       -- dissipative field -> jump operators it is the rate of
-    number      -- mode -> diagonal of a'a, the photon number of each basis state
-    rows, cols  -- nonzero positions of the real-coordinate generator
-    parts       -- (len(FIELDS), nnz): coefficient of each field at each position
+    hamiltonian  -- coherent field -> real symmetric operator it multiplies in H
+    nonhermitian -- field -> operator in H_nh = H - (i/2) sum c'c (kappa, gamma_a jumps)
+    jumps        -- dissipative field -> jump operators it is the rate of
+    number       -- mode -> diagonal of a'a, the photon number of each basis state
     """
 
     space: FockSpace
     hamiltonian: dict[str, np.ndarray]
+    nonhermitian: dict[str, np.ndarray]
     jumps: dict[str, tuple[np.ndarray, ...]]
     number: dict[str, np.ndarray]
-    rows: np.ndarray
-    cols: np.ndarray
-    parts: np.ndarray
+
+    @cached_property
+    def generator(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Nonzero positions of the real-coordinate generator, and each field's
+        coefficient there: (rows, cols, parts), built on first use."""
+        dim = self.space.dim
+        eye = np.eye(dim)
+        triplets = []
+        for k, name in enumerate(FIELDS):
+            if name in self.hamiltonian:  # -i [H, rho]
+                h = self.hamiltonian[name]
+                terms = [(h, eye, -1j), (eye, h, 1j)]
+            else:  # c rho c' - (c'c rho + rho c'c) / 2
+                terms = []
+                for c in self.jumps[name]:
+                    cdc = c.T @ c
+                    terms += [(c, c.T, 1.0), (cdc, eye, -0.5), (eye, cdc, -0.5)]
+            for left, right, coef in terms:
+                rows, cols, vals = _real_coordinates(*_products(left, right, coef, dim), dim)
+                triplets.append((np.full(rows.size, k), rows * dim**2 + cols, vals))
+
+        field, flat, vals = (np.concatenate(t) for t in zip(*triplets))
+        positions, index = np.unique(flat, return_inverse=True)
+        parts = np.zeros((len(FIELDS), positions.size))
+        np.add.at(parts, (field, index), vals)
+        keep = parts.any(axis=0)
+        rows, cols = np.divmod(positions[keep], dim**2)
+        return _frozen(rows), _frozen(cols), _frozen(parts[:, keep])
 
     def values(self, params: SystemParams) -> np.ndarray:
         """Generator entries at the nonzero positions: sum_k theta_k L_k."""
-        return np.array([getattr(params, name) for name in FIELDS]) @ self.parts
+        return theta(params) @ self.generator[2]
 
     def dense(self, values: np.ndarray) -> np.ndarray:
         """Scatter values into a dense real dim^2 x dim^2 matrix."""
+        rows, cols, _ = self.generator
         n = self.space.dim**2
         m = np.zeros((n, n))
-        m[self.rows, self.cols] = values
+        m[rows, cols] = values
         return m
 
     def matvec(self, values: np.ndarray, x: np.ndarray) -> np.ndarray:
         """Sparse product of the generator with the real coordinates x."""
-        return np.bincount(self.rows, weights=values * x[self.cols], minlength=x.size)
+        rows, cols, _ = self.generator
+        return np.bincount(rows, weights=values * x[cols], minlength=x.size)
 
 
 def _products(left: np.ndarray, right: np.ndarray, coef: complex, dim: int):
@@ -136,8 +169,7 @@ def _frozen(a: np.ndarray) -> np.ndarray:
 
 @lru_cache(maxsize=8)
 def operator_table(space: FockSpace) -> OperatorTable:
-    """Build (once per space) the operators and generator parts of the model."""
-    dim = space.dim
+    """Build (once per space) the operators of the model; the generator is lazy."""
     a = annihilator(space, "ccw").real
     b = annihilator(space, "cw").real
     sm = emitter_lowering(space).real
@@ -150,37 +182,13 @@ def operator_table(space: FockSpace) -> OperatorTable:
         "drive": a + a.T,
     }
     jumps = {"kappa": (a, b), "gamma_a": (sm,), "gamma_p": (pauli_z(space).real,)}
-
-    eye = np.eye(dim)
-    triplets = []
-    for k, name in enumerate(FIELDS):
-        if name in hamiltonian:  # -i [H, rho]
-            h = hamiltonian[name]
-            terms = [(h, eye, -1j), (eye, h, 1j)]
-        else:  # c rho c' - (c'c rho + rho c'c) / 2
-            terms = []
-            for c in jumps[name]:
-                cdc = c.T @ c
-                terms += [(c, c.T, 1.0), (cdc, eye, -0.5), (eye, cdc, -0.5)]
-        for left, right, coef in terms:
-            rows, cols, vals = _real_coordinates(*_products(left, right, coef, dim), dim)
-            triplets.append((np.full(rows.size, k), rows * dim**2 + cols, vals))
-
-    field, flat, vals = (np.concatenate(t) for t in zip(*triplets))
-    positions, index = np.unique(flat, return_inverse=True)
-    parts = np.zeros((len(FIELDS), positions.size))
-    np.add.at(parts, (field, index), vals)
-    keep = parts.any(axis=0)
-    rows, cols = np.divmod(positions[keep], dim**2)
-
+    decay = {name: -0.5j * sum(c.T @ c for c in jumps[name]) for name in ("kappa", "gamma_a")}
     return OperatorTable(
         space=space,
         hamiltonian={name: _frozen(h) for name, h in hamiltonian.items()},
+        nonhermitian={name: _frozen(h) for name, h in {**hamiltonian, **decay}.items()},
         jumps={name: tuple(_frozen(c) for c in cs) for name, cs in jumps.items()},
         number={mode: _frozen(np.diag(c.T @ c).copy()) for mode, c in zip(MODES, (a, b))},
-        rows=_frozen(rows),
-        cols=_frozen(cols),
-        parts=_frozen(parts[:, keep]),
     )
 
 
@@ -220,11 +228,8 @@ def nonhermitian_hamiltonian(params: SystemParams, space: FockSpace) -> np.ndarr
 
     Intended for the weak-drive analysis; pure dephasing is not included.
     """
-    jumps = operator_table(space).jumps
-    decay = sum(
-        getattr(params, name) * (c.T @ c) for name in ("kappa", "gamma_a") for c in jumps[name]
-    )
-    return hamiltonian_eff(params, space) - 0.5j * decay
+    terms = operator_table(space).nonhermitian
+    return sum(getattr(params, name) * h for name, h in terms.items())
 
 
 def liouvillian(params: SystemParams, space: FockSpace) -> Superoperator:

@@ -29,5 +29,9 @@ class AnalyticSingularityError(BicavityError):
     """A weak-drive denominator vanished at the requested parameter point."""
 
 
+class WeakDriveDomainError(BicavityError, ValueError):
+    """Parameters outside the weak-drive analysis (dephasing, unequal couplings)."""
+
+
 class SweepError(BicavityError):
     """A parameter sweep could not produce any valid grid point."""

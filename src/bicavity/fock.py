@@ -115,7 +115,3 @@ def emitter_excitation_projector(space: FockSpace) -> np.ndarray:
 def pauli_z(space: FockSpace) -> np.ndarray:
     """Genuine Pauli-Z (eigenvalues -1 on |->, +1 on |+>)."""
     return _embed(space, op_e=_PAULI_Z)
-
-
-def identity(space: FockSpace) -> np.ndarray:
-    return np.eye(space.dim, dtype=complex)

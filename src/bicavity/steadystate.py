@@ -49,7 +49,8 @@ def steady_state(lv: Superoperator) -> DensityMatrix:
     """Solve L[rho] = 0 with Tr(rho) = 1.
 
     Raises DegenerateSteadyStateError if the kernel is not one-dimensional and
-    SteadyStateSolverError if the residual cannot be brought below tolerance.
+    SteadyStateSolverError if the residual cannot be brought below tolerance,
+    LAPACK fails in the fallback or the PSD check, or rho is not PSD.
     """
     dim = lv.space.dim
     table = operator_table(lv.space)
@@ -77,7 +78,10 @@ def steady_state(lv: Superoperator) -> DensityMatrix:
         system[0] = first
         target = np.zeros(dim * dim + 1)
         target[-1] = 1.0
-        x, *_ = np.linalg.lstsq(np.vstack([system, trace]), target, rcond=None)
+        try:
+            x, *_ = np.linalg.lstsq(np.vstack([system, trace]), target, rcond=None)
+        except np.linalg.LinAlgError as exc:
+            raise SteadyStateSolverError(f"least-squares fallback failed: {exc}", residual) from exc
         rho, residual = _state(table, values, x, trace)
         if residual > RESIDUAL_TOL:
             raise SteadyStateSolverError(
@@ -85,7 +89,10 @@ def steady_state(lv: Superoperator) -> DensityMatrix:
                 residual=residual,
             )
 
-    min_eig = float(np.linalg.eigvalsh(rho).min())
+    try:
+        min_eig = float(np.linalg.eigvalsh(rho).min())
+    except np.linalg.LinAlgError as exc:
+        raise SteadyStateSolverError(f"PSD check failed: {exc}", residual) from exc
     if min_eig < -PSD_TOL:
         raise SteadyStateSolverError(
             f"steady state not positive semi-definite (min eigenvalue {min_eig:.3e})",

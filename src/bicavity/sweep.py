@@ -171,16 +171,14 @@ def _evaluate_point(spec: SweepSpec, params: SystemParams) -> tuple[dict[str, fl
             if "g2_cw" in wanted:
                 values["g2_cw"] = g2_zero(rho, "cw")
         if wanted & set(ANALYTIC_OUTPUTS):
-            common = params.g_a == params.g_b
+            # The closed forms need g_a == g_b; otherwise solve the system once.
+            amps = None if params.g_a == params.g_b else solve_weak_drive(params)
             if "g2_analytic" in wanted:
-                values["g2_analytic"] = (
-                    g2_closed_form(params) if common else solve_weak_drive(params).g2_ccw
-                )
+                values["g2_analytic"] = g2_closed_form(params) if amps is None else amps.g2_ccw
             if {"c1_abs2", "c2_abs2"} & wanted:
-                if common:
+                if amps is None:
                     c1, c2 = c_amplitudes_closed_form(params)
                 else:
-                    amps = solve_weak_drive(params)
                     c1, c2 = amps.c_100m, amps.c_200m
                 values["c1_abs2"] = abs(c1) ** 2
                 values["c2_abs2"] = abs(c2) ** 2
@@ -196,7 +194,7 @@ def _evaluate_point(spec: SweepSpec, params: SystemParams) -> tuple[dict[str, fl
         return values, ERROR_CODES["solver_failure"], residual
     except DegenerateSteadyStateError:
         return values, ERROR_CODES["degenerate_steady_state"], residual
-    except (BicavityError, ValueError):
+    except BicavityError:
         return values, ERROR_CODES["invalid_point"], residual
     return values, ERROR_CODES["ok"], residual
 

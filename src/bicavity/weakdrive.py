@@ -2,23 +2,24 @@
 
 With the drive weak enough that at most two excitations are present, the
 steady state is parametrised by eight amplitudes on top of the ground state
-|0,0,-> (its amplitude is fixed to 1).  They solve a linear 8x8 system built
-from the non-Hermitian Hamiltonian; closed forms exist for the common-coupling
-case g_a = g_b.  Pure dephasing is outside this treatment (gamma_p must be 0).
-
-The mode-resolved generalisation replaces the common g vertex by g_a on every
-a-photon vertex and g_b on every b-photon vertex; it is validated against the
-master-equation solver rather than against the closed forms.
+|0,0,-> (its amplitude is fixed to 1).  They solve a linear 8x8 system: the
+table's non-Hermitian Hamiltonian projected onto these kets, keeping an entry
+only where the row ket has at least as many excitations as the column ket (an
+n-excitation amplitude is O(drive^n)).  It holds for g_a != g_b; closed forms
+exist for g_a = g_b.  Pure dephasing is outside this treatment (gamma_p = 0).
 """
 
 from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
-from .errors import AnalyticSingularityError
+from .dynamics import FIELDS, operator_table, theta
+from .errors import AnalyticSingularityError, UndefinedCorrelationError, WeakDriveDomainError
+from .fock import FockSpace
 from .params import SystemParams
 
 RESIDUAL_TOL = 1e-12
@@ -61,53 +62,54 @@ class AmplitudeSet:
     residual: float
     c_000m: complex = 1.0 + 0.0j
 
-    def one_excitation(self) -> tuple[complex, complex, complex]:
-        return (self.c_100m, self.c_010m, self.c_000p)
-
-    def two_excitation(self) -> tuple[complex, ...]:
-        return (self.c_200m, self.c_020m, self.c_110m, self.c_100p, self.c_010p)
-
     @property
     def g2_ccw(self) -> float:
         """g2(0) of the driven mode: 2|c_200m|^2 / |c_100m|^4."""
+        if self.c_100m == 0:
+            raise UndefinedCorrelationError("one-photon amplitude is 0; g2(0) is undefined")
         return float(2.0 * abs(self.c_200m) ** 2 / abs(self.c_100m) ** 4)
 
 
-def _system_matrix(params: SystemParams) -> tuple[np.ndarray, np.ndarray]:
-    """8x8 steady-state system M c = rhs in the amplitude ordering
-    (c_100m, c_010m, c_000p, c_200m, c_020m, c_110m, c_100p, c_010p)."""
-    det = ComplexDetunings.from_params(params)
-    dp, dd = det.delta_p, det.delta_d
-    ga, gb, j, eps = params.g_a, params.g_b, params.j_coupling, params.drive
-    two_p = 2.0 * dp          # two photons: 2*delta - i*kappa
-    pd = dp + dd              # one photon + excited emitter
+# Ansatz kets (n_ccw, n_cw, emitter): |0,0,-> then the AmplitudeSet order.
+_KETS = (
+    (0, 0, "-"), (1, 0, "-"), (0, 1, "-"), (0, 0, "+"),
+    (2, 0, "-"), (0, 2, "-"), (1, 1, "-"), (1, 0, "+"), (0, 1, "+"),
+)
 
-    m = np.zeros((8, 8), dtype=complex)
-    # single-excitation block
-    m[0, 0], m[0, 1], m[0, 2] = dp, j, ga
-    m[1, 1], m[1, 0], m[1, 2] = dp, j, gb
-    m[2, 2], m[2, 0], m[2, 1] = dd, ga, gb
-    # two-excitation block (drive feeds it from the singles)
-    m[3, 3], m[3, 5], m[3, 6], m[3, 0] = two_p, _SQRT2 * j, _SQRT2 * ga, _SQRT2 * eps
-    m[4, 4], m[4, 5], m[4, 7] = two_p, _SQRT2 * j, _SQRT2 * gb
-    m[5, 5], m[5, 4], m[5, 3], m[5, 7], m[5, 6], m[5, 1] = (
-        two_p, _SQRT2 * j, _SQRT2 * j, ga, gb, eps,
-    )
-    m[6, 6], m[6, 7], m[6, 3], m[6, 5], m[6, 2] = pd, j, _SQRT2 * ga, gb, eps
-    m[7, 7], m[7, 6], m[7, 5], m[7, 4] = pd, j, ga, _SQRT2 * gb
 
-    rhs = np.zeros(8, dtype=complex)
-    rhs[0] = -eps
-    return m, rhs
+@lru_cache(maxsize=1)
+def _hamiltonian_parts() -> np.ndarray:
+    """Per-field parts of H_nh on _KETS, shape (len(FIELDS), 81), read-only.
+    Entries of higher drive order (row ket less excited than column ket) are 0."""
+    space = FockSpace(2, 2)
+    terms = operator_table(space).nonhermitian
+    flat = [space.index(*ket) for ket in _KETS]
+    n = np.array([n_a + n_b + (e == "+") for n_a, n_b, e in _KETS])
+    keep = n[:, None] >= n
+    parts = np.zeros((len(FIELDS), len(_KETS), len(_KETS)), dtype=complex)
+    for name, h in terms.items():
+        parts[FIELDS.index(name)] = np.where(keep, h[np.ix_(flat, flat)], 0)
+    parts = parts.reshape(len(FIELDS), -1)
+    parts.setflags(write=False)
+    return parts
+
+
+def _check_domain(params: SystemParams, common_coupling: bool = False) -> None:
+    """Reject points outside the weak-drive analysis (and the closed forms)."""
+    if common_coupling and params.g_a != params.g_b:
+        raise WeakDriveDomainError("closed forms assume a common coupling g_a == g_b")
+    if params.gamma_p != 0:
+        raise WeakDriveDomainError(
+            "the weak-drive analysis neglects pure dephasing; gamma_p must be 0"
+        )
 
 
 def solve_weak_drive(params: SystemParams) -> AmplitudeSet:
     """Solve the 8x8 weak-drive linear system (supports g_a != g_b)."""
-    if params.gamma_p != 0:
-        raise ValueError(
-            "the weak-drive analysis neglects pure dephasing; gamma_p must be 0"
-        )
-    m, rhs = _system_matrix(params)
+    _check_domain(params)
+    # H_nh c = 0 on the ansatz kets; c_000m = 1 moves to the right-hand side.
+    h = (theta(params) @ _hamiltonian_parts()).reshape(len(_KETS), len(_KETS))
+    m, rhs = h[1:, 1:], -h[1:, 0]
     try:
         c = np.linalg.solve(m, rhs)
     except np.linalg.LinAlgError as exc:
@@ -121,11 +123,11 @@ def solve_weak_drive(params: SystemParams) -> AmplitudeSet:
             f"weak-drive solve residual {residual:.3e} above {RESIDUAL_TOL:.0e} "
             f"at {params}"
         )
-    _warn_if_not_weak(params, c)
+    _warn_if_not_weak(c)
     return AmplitudeSet(*c, residual=residual)
 
 
-def _warn_if_not_weak(params: SystemParams, c: np.ndarray) -> None:
+def _warn_if_not_weak(c: np.ndarray) -> None:
     """Soft check of the amplitude hierarchy 1 >> singles >> doubles."""
     singles = float(np.max(np.abs(c[:3])))
     doubles = float(np.max(np.abs(c[3:])))
@@ -139,12 +141,7 @@ def _warn_if_not_weak(params: SystemParams, c: np.ndarray) -> None:
 
 def c_amplitudes_closed_form(params: SystemParams) -> tuple[complex, complex]:
     """Closed-form (c_100m, c_200m) for the common-coupling case g_a = g_b."""
-    if params.g_a != params.g_b:
-        raise ValueError("closed forms assume a common coupling g_a == g_b")
-    if params.gamma_p != 0:
-        raise ValueError(
-            "the weak-drive analysis neglects pure dephasing; gamma_p must be 0"
-        )
+    _check_domain(params, common_coupling=True)
     det = ComplexDetunings.from_params(params)
     dp, dd = det.delta_p, det.delta_d
     g, j, eps = params.g_a, params.j_coupling, params.drive
@@ -171,12 +168,7 @@ def c_amplitudes_closed_form(params: SystemParams) -> tuple[complex, complex]:
 
 def g2_closed_form(params: SystemParams) -> float:
     """Closed-form g2(0) of the driven mode (g_a = g_b, gamma_p = 0)."""
-    if params.g_a != params.g_b:
-        raise ValueError("closed form assumes a common coupling g_a == g_b")
-    if params.gamma_p != 0:
-        raise ValueError(
-            "the weak-drive analysis neglects pure dephasing; gamma_p must be 0"
-        )
+    _check_domain(params, common_coupling=True)
     det = ComplexDetunings.from_params(params)
     dp, dd = det.delta_p, det.delta_d
     g, j = params.g_a, params.j_coupling

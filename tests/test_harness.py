@@ -16,8 +16,10 @@ from bicavity import (
     reference_baseline,
     read_csv,
     run_sweep,
+    solve_weak_drive,
     value_axis,
 )
+from bicavity import sweep
 
 
 def small_spec(**overrides):
@@ -105,6 +107,64 @@ def test_failed_points_tagged_not_dropped():
     assert codes[1] == ERROR_CODES["ok"]
     assert math.isnan(table.column("g2_ccw")[0])
     assert table.metadata["points_failed"] == "1"
+
+
+def test_analytic_zero_drive_is_undefined_correlation():
+    spec = SweepSpec(
+        base=reference_baseline(g_a=12.0, g_b=31.0),
+        axes=(value_axis("drive", [0.0, 1.0]),),
+        outputs=("g2_analytic",),
+        engine="analytic",
+    )
+    table = run_sweep(spec)
+    assert list(table.column("error")) == [ERROR_CODES["undefined_correlation"], ERROR_CODES["ok"]]
+    assert table.metadata["points_failed"] == "1"
+
+
+def test_weak_drive_domain_is_invalid_point():
+    spec = SweepSpec(
+        base=reference_baseline(g_a=12.0, g_b=31.0),
+        axes=(value_axis("gamma_p", [0.0, 1.0]),),
+        outputs=("g2_analytic",),
+        engine="analytic",
+    )
+    codes = run_sweep(spec).column("error")
+    assert list(codes) == [ERROR_CODES["ok"], ERROR_CODES["invalid_point"]]
+
+
+def test_programming_errors_propagate(monkeypatch):
+    def broken(params, grid):
+        raise ValueError("bug")
+
+    monkeypatch.setattr(sweep, "spectrum", broken)
+    spec = SweepSpec(
+        base=reference_baseline(),
+        axes=(value_axis("delta", [0.0, 1.0]),),
+        outputs=("p_t",),
+        engine="analytic",
+    )
+    with pytest.raises(ValueError, match="bug"):
+        run_sweep(spec)
+
+
+def test_weak_drive_solved_once_per_point(monkeypatch):
+    calls = []
+
+    def counting(params):
+        calls.append(params)
+        return solve_weak_drive(params)
+
+    monkeypatch.setattr(sweep, "solve_weak_drive", counting)
+    spec = SweepSpec(
+        base=reference_baseline(g_a=12.0, g_b=31.0),
+        axes=(value_axis("delta", [-40.0, 0.0, 40.0]),),
+        outputs=("g2_analytic", "c1_abs2", "c2_abs2"),
+        engine="analytic",
+    )
+    table = run_sweep(spec)
+    assert len(calls) == 3
+    amps = solve_weak_drive(calls[0])
+    assert table.rows[0][1:4] == [amps.g2_ccw, abs(amps.c_100m) ** 2, abs(amps.c_200m) ** 2]
 
 
 def test_all_points_failing_raises():

@@ -3,6 +3,7 @@ import pytest
 
 from bicavity import (
     DensityMatrix,
+    SteadyStateSolverError,
     SystemParams,
     UndefinedCorrelationError,
     annihilator,
@@ -128,3 +129,12 @@ def test_truncation_surfaces_undefined_correlation():
 def test_truncation_rejects_tiny_cutoff():
     with pytest.raises(ValueError):
         check_truncation(reference_baseline(), base_cutoff=1)
+
+
+def test_linalg_failure_is_solver_failure(monkeypatch):
+    def fail(*args, **kwargs):
+        raise np.linalg.LinAlgError("did not converge")
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", fail)
+    with pytest.raises(SteadyStateSolverError):
+        solve_steady(reference_baseline(), n_a_max=2, n_b_max=2)

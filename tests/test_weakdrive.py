@@ -5,11 +5,13 @@ from bicavity import (
     AnalyticSingularityError,
     ComplexDetunings,
     SystemParams,
+    UndefinedCorrelationError,
     c_amplitudes_closed_form,
     g2_closed_form,
     g2_ratio_asymptotic,
     g2_weak_drive,
     master_equation_g2,
+    mean_fields,
     reference_baseline,
     solve_weak_drive,
 )
@@ -119,13 +121,37 @@ def test_generalized_couplings_match_master_equation():
 
 
 def test_drive_scaling():
-    # singles scale linearly, doubles quadratically, g2 is drive independent
-    p = reference_baseline(j_coupling=240.0, drive=0.2)
-    a1 = solve_weak_drive(p)
-    a2 = solve_weak_drive(p.replace(drive=0.6))
-    assert a2.c_100m == pytest.approx(3.0 * a1.c_100m, rel=1e-12)
-    assert a2.c_200m == pytest.approx(9.0 * a1.c_200m, rel=1e-12)
-    assert a2.g2_ccw == pytest.approx(a1.g2_ccw, rel=1e-9)
+    # singles scale linearly, doubles quadratically, g2 is drive independent;
+    # a system that kept the drive's lowering half would break the exact powers
+    for p in (
+        reference_baseline(j_coupling=240.0, drive=0.2),
+        reference_baseline(g_a=12.0, g_b=31.0, delta=17.0, delta_a=-9.0,
+                           j_coupling=240.0, drive=0.2),
+    ):
+        a1 = solve_weak_drive(p)
+        a2 = solve_weak_drive(p.replace(drive=0.6))
+        for single in ("c_100m", "c_010m", "c_000p"):
+            assert getattr(a2, single) == pytest.approx(3.0 * getattr(a1, single), rel=1e-12)
+        for double in ("c_200m", "c_020m", "c_110m", "c_100p", "c_010p"):
+            assert getattr(a2, double) == pytest.approx(9.0 * getattr(a1, double), rel=1e-12)
+        assert a2.g2_ccw == pytest.approx(a1.g2_ccw, rel=1e-9)
+
+
+def test_empty_cavity_amplitudes_are_mean_fields():
+    # with g = 0 the ansatz is exact and its singles are the mean fields <a>, <b>
+    rng = np.random.default_rng(13)
+    for _ in range(20):
+        p = random_params(rng).replace(g_a=0.0, g_b=0.0)
+        amps = solve_weak_drive(p)
+        a_mean, b_mean = mean_fields(p)
+        assert amps.c_100m == pytest.approx(a_mean, rel=1e-12)
+        assert amps.c_010m == pytest.approx(b_mean, rel=1e-12)
+
+
+def test_g2_undefined_without_drive():
+    amps = solve_weak_drive(reference_baseline(g_a=12.0, g_b=31.0, drive=0.0))
+    with pytest.raises(UndefinedCorrelationError):
+        amps.g2_ccw
 
 
 def test_asymptotic_ratios():
