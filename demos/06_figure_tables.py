@@ -8,17 +8,18 @@ cutoff or a thread count on the command line to speed things up, e.g.::
 """
 
 import argparse
+import dataclasses
 import pathlib
 import time
 
-from bicavity import FIGURE_NAMES, SweepSpec, emit_csv, figure_preset, run_sweep
+from bicavity import FIGURE_NAMES, emit_csv, figure_preset, run_sweep
 
 
 def main() -> None:
     ap = argparse.ArgumentParser()
     ap.add_argument("--out-dir", default="figure_tables")
     ap.add_argument("--cutoff", type=int, default=None)
-    ap.add_argument("--threads", type=int, default=None)
+    ap.add_argument("--threads", type=int, default=1)
     ap.add_argument("--only", nargs="*", choices=FIGURE_NAMES, default=None)
     args = ap.parse_args()
 
@@ -28,8 +29,7 @@ def main() -> None:
     for name in args.only or FIGURE_NAMES:
         spec = figure_preset(name)
         if args.cutoff:
-            spec = SweepSpec(spec.base, spec.axes, spec.outputs, spec.engine,
-                             (args.cutoff, args.cutoff), spec.tie_delta_a, spec.label)
+            spec = dataclasses.replace(spec, cutoffs=(args.cutoff, args.cutoff))
         t0 = time.perf_counter()
         table = run_sweep(spec, threads=args.threads)
         path = out_dir / f"{name}.csv"

@@ -24,10 +24,7 @@ from .errors import BicavityError
 from .params import SystemParams, reference_baseline
 from .steadystate import check_truncation, g2_zero, solve_steady
 from .sweep import (
-    ANALYTIC_OUTPUTS,
-    ENGINES,
     FIGURE_NAMES,
-    MASTER_OUTPUTS,
     SweepSpec,
     Axis,
     emit_csv,
@@ -37,7 +34,7 @@ from .sweep import (
     value_axis,
 )
 from .weakdrive import c_amplitudes_closed_form, solve_weak_drive
-from .dynamics import liouvillian, vectorize
+from .dynamics import liouvillian
 from .fock import build_space
 
 
@@ -55,22 +52,20 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--max", dest="hi", type=float, default=None, help="highest detuning (default +10 kappa)")
     sp.add_argument("--points", type=int, default=401)
     sp.add_argument("--out", default="spectrum.csv")
-    sp.add_argument("--threads", type=int, default=None)
+    sp.add_argument("--threads", type=int, default=1)
 
     sw = sub.add_parser("sweep", help="run a sweep described by an INI config file")
     sw.add_argument("config", help="config file; see README for the format")
     sw.add_argument("--out", default="sweep.csv")
-    sw.add_argument("--engine", choices=ENGINES, default=None, help="override the config engine")
     sw.add_argument("--cutoff", type=int, default=None, help="override both photon cutoffs")
-    sw.add_argument("--threads", type=int, default=None)
+    sw.add_argument("--threads", type=int, default=1)
     sw.add_argument("--log10", action="store_true", help="append log10 columns for g2 outputs")
 
     fg = sub.add_parser("figure", help="run a built-in figure preset")
     fg.add_argument("name", choices=FIGURE_NAMES)
     fg.add_argument("--out", default=None, help="output CSV (default <name>.csv)")
-    fg.add_argument("--engine", choices=ENGINES, default=None)
     fg.add_argument("--cutoff", type=int, default=None)
-    fg.add_argument("--threads", type=int, default=None)
+    fg.add_argument("--threads", type=int, default=1)
     fg.add_argument("--log10", action="store_true")
 
     ck = sub.add_parser("check", help="run the fast numerical invariant suite")
@@ -85,7 +80,6 @@ def _cmd_spectrum(args) -> int:
         base=SystemParams(kappa=args.kappa, j_coupling=args.j, drive=1.0),
         axes=(linear_axis("delta", lo, hi, args.points),),
         outputs=("p_t", "p_r"),
-        engine="analytic",
         label="spectrum",
     )
     emit_csv(run_sweep(spec, threads=args.threads), args.out)
@@ -120,7 +114,6 @@ def _parse_config(path) -> SweepSpec:
         base=base,
         axes=tuple(axes),
         outputs=outputs,
-        engine=sweep_sec.get("engine", "master_equation"),
         cutoffs=(cutoff, cutoff),
         tie_delta_a=str(sweep_sec.get("tie_delta_a", "false")).lower() in ("1", "true", "yes"),
         label=sweep_sec.get("label", "custom"),
@@ -128,8 +121,6 @@ def _parse_config(path) -> SweepSpec:
 
 
 def _finish_sweep(spec: SweepSpec, args, out_path) -> int:
-    if args.engine:
-        spec = dataclasses.replace(spec, engine=args.engine)
     if args.cutoff:
         spec = dataclasses.replace(spec, cutoffs=(args.cutoff, args.cutoff))
     table = run_sweep(spec, threads=args.threads)

@@ -16,9 +16,8 @@ from __future__ import annotations
 
 import itertools
 import math
-import os
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
@@ -40,8 +39,6 @@ MASTER_OUTPUTS = ("g2_ccw", "g2_cw", "n_ccw", "n_cw")
 ANALYTIC_OUTPUTS = ("g2_analytic", "c1_abs2", "c2_abs2")
 MEANFIELD_OUTPUTS = ("p_t", "p_r")
 ALL_OUTPUTS = MASTER_OUTPUTS + ANALYTIC_OUTPUTS + MEANFIELD_OUTPUTS
-
-ENGINES = ("master_equation", "analytic", "both")
 
 # Numeric tags for the per-row "error" column.
 ERROR_CODES = {
@@ -92,7 +89,6 @@ class SweepSpec:
     base: SystemParams
     axes: tuple[Axis, ...]
     outputs: tuple[str, ...]
-    engine: str = "master_equation"
     cutoffs: tuple[int, int] = (4, 4)
     tie_delta_a: bool = False
     label: str = ""
@@ -100,17 +96,19 @@ class SweepSpec:
     def __post_init__(self):
         if not 1 <= len(self.axes) <= 2:
             raise ValueError("a sweep has one or two axes")
-        if self.engine not in ENGINES:
-            raise ValueError(f"engine must be one of {ENGINES}, got {self.engine!r}")
         if not self.outputs:
             raise ValueError("at least one output is required")
         for out in self.outputs:
             if out not in ALL_OUTPUTS:
                 raise ValueError(f"unknown output {out!r}; expected one of {ALL_OUTPUTS}")
-        if self.engine == "master_equation" and set(self.outputs) & set(ANALYTIC_OUTPUTS):
-            raise ValueError("analytic outputs require engine 'analytic' or 'both'")
-        if self.engine == "analytic" and set(self.outputs) & set(MASTER_OUTPUTS):
-            raise ValueError("master-equation outputs require engine 'master_equation' or 'both'")
+
+    @property
+    def engine(self) -> str:
+        """The engines the outputs call for; mean-field outputs ride along with either."""
+        wanted = set(self.outputs)
+        if not wanted & set(MASTER_OUTPUTS):
+            return "analytic"
+        return "both" if wanted & set(ANALYTIC_OUTPUTS) else "master_equation"
 
 
 @dataclass
@@ -199,13 +197,8 @@ def _evaluate_point(spec: SweepSpec, params: SystemParams) -> tuple[dict[str, fl
     return values, ERROR_CODES["ok"], residual
 
 
-def default_threads() -> int:
-    return max(1, int(os.environ.get("BICAVITY_THREADS", "1")))
-
-
-def run_sweep(spec: SweepSpec, threads: int | None = None) -> ResultTable:
+def run_sweep(spec: SweepSpec, threads: int = 1) -> ResultTable:
     """Evaluate the sweep grid; deterministic row order (first axis outer)."""
-    threads = default_threads() if threads is None else max(1, threads)
     grid = list(itertools.product(*(axis.values for axis in spec.axes)))
     names = [axis.name for axis in spec.axes]
 
@@ -273,153 +266,135 @@ def _open_interval(hi: float, count: int) -> tuple[float, ...]:
     return tuple(float(v) for v in np.linspace(hi / count, hi, count))
 
 
-def figure_preset(name: str) -> SweepSpec:
-    """Built-in sweep specification reproducing one reference scan."""
+def _preset_table() -> dict[str, SweepSpec]:
+    """The built-in sweeps reproducing the reference scans, by figure name."""
     base = reference_baseline()
     k = _K
-    presets = {
-        "fig2": lambda: SweepSpec(
+    return {
+        "fig2": SweepSpec(
             base=SystemParams(kappa=k, drive=1.0),
             axes=(value_axis("j_coupling", [0.8 * k, 6 * k]),
                   linear_axis("delta", -10 * k, 10 * k, 401)),
             outputs=MEANFIELD_OUTPUTS,
-            engine="analytic",
-            label=name,
         ),
-        "fig3": lambda: SweepSpec(
+        "fig3": SweepSpec(
             base=base,
             axes=(value_axis("j_coupling", [0.0, 30 * k]),
                   linear_axis("delta", -3 * k, 3 * k, 241)),
             outputs=("g2_ccw", "g2_analytic"),
-            engine="both",
             tie_delta_a=True,
-            label=name,
         ),
-        "fig4a": lambda: SweepSpec(
+        "fig4a": SweepSpec(
             base=base,
             axes=(value_axis("j_coupling", [0.0, 10 * k, 20 * k, 40 * k]),
                   value_axis("g", _open_interval(1.5 * k, 201))),
             outputs=("g2_ccw",),
-            label=name,
         ),
-        "fig4b": lambda: SweepSpec(
+        "fig4b": SweepSpec(
             base=base,
             axes=(linear_axis("j_coupling", 0.0, 40 * k, 61),
                   value_axis("g", _open_interval(1.5 * k, 61))),
             outputs=("g2_ccw",),
-            label=name,
         ),
-        "fig7": lambda: SweepSpec(
+        "fig7": SweepSpec(
             base=base,
             axes=(value_axis("j_coupling", [0.0, 20 * k]),
                   linear_axis("delta", -3 * k, 3 * k, 241)),
             outputs=("c1_abs2", "c2_abs2"),
-            engine="analytic",
             tie_delta_a=True,
-            label=name,
         ),
-        "fig8a": lambda: SweepSpec(
+        "fig8a": SweepSpec(
             base=base,
             axes=(linear_axis("kappa", 1.0, 100.0, 61),
                   linear_axis("g", 1.0, 100.0, 61)),
             outputs=("g2_ccw",),
-            label=name,
         ),
-        "fig8b": lambda: SweepSpec(
+        "fig8b": SweepSpec(
             base=base.replace(j_coupling=800.0),
             axes=(linear_axis("kappa", 1.0, 100.0, 61),
                   linear_axis("g", 1.0, 100.0, 61)),
             outputs=("g2_ccw",),
-            label=name,
         ),
-        "fig9a": lambda: SweepSpec(
+        "fig9a": SweepSpec(
             base=base.replace(gamma_p=3.0),
             axes=(value_axis("j_coupling", [0.0, 10 * k]),
                   linear_axis("delta", -3 * k, 3 * k, 241)),
             outputs=("g2_ccw",),
             tie_delta_a=True,
-            label=name,
         ),
-        "fig9b": lambda: SweepSpec(
+        "fig9b": SweepSpec(
             base=base,
             axes=(value_axis("j_coupling", [0.0, 6 * k, 10 * k, 20 * k]),
                   linear_axis("gamma_p", 0.0, 20.0, 201)),
             outputs=("g2_ccw",),
-            label=name,
         ),
-        "fig10a": lambda: SweepSpec(
+        "fig10a": SweepSpec(
             base=base.replace(j_coupling=20 * k),
             axes=(linear_axis("delta", -3 * k, 3 * k, 61),
                   linear_axis("gamma_p", 0.0, 10.0, 61)),
             outputs=("g2_ccw",),
             tie_delta_a=True,
-            label=name,
         ),
-        "fig10b": lambda: SweepSpec(
+        "fig10b": SweepSpec(
             base=base,
             axes=(linear_axis("j_coupling", 0.0, 20 * k, 61),
                   linear_axis("gamma_p", 0.0, 20.0, 61)),
             outputs=("g2_ccw",),
-            label=name,
         ),
-        "fig14a": lambda: SweepSpec(
+        "fig14a": SweepSpec(
             base=base,
             axes=(linear_axis("delta", -3 * k, 3 * k, 61),
                   linear_axis("delta_a", -3 * k, 3 * k, 61)),
             outputs=("g2_ccw",),
-            label=name,
         ),
-        "fig14b": lambda: SweepSpec(
+        "fig14b": SweepSpec(
             base=base.replace(j_coupling=20 * k),
             axes=(linear_axis("delta", -3 * k, 3 * k, 61),
                   linear_axis("delta_a", -3 * k, 3 * k, 61)),
             outputs=("g2_ccw",),
-            label=name,
         ),
-        "fig15a": lambda: SweepSpec(
+        "fig15a": SweepSpec(
             base=base,
             axes=(linear_axis("delta", -3 * k, 3 * k, 61),
                   linear_axis("g_b", 0.0, 2 * k, 61)),
             outputs=("g2_ccw",),
             tie_delta_a=True,
-            label=name,
         ),
-        "fig15b": lambda: SweepSpec(
+        "fig15b": SweepSpec(
             base=base.replace(j_coupling=20 * k),
             axes=(linear_axis("delta", -3 * k, 3 * k, 61),
                   linear_axis("g_b", 0.0, 2 * k, 61)),
             outputs=("g2_ccw",),
             tie_delta_a=True,
-            label=name,
         ),
-        "fig15c": lambda: SweepSpec(
+        "fig15c": SweepSpec(
             base=base,
             axes=(linear_axis("g_a", 0.0, 2 * k, 61),
                   linear_axis("g_b", 0.0, 2 * k, 61)),
             outputs=("g2_ccw",),
-            label=name,
         ),
-        "fig15d": lambda: SweepSpec(
+        "fig15d": SweepSpec(
             base=base.replace(j_coupling=20 * k),
             axes=(linear_axis("g_a", 0.0, 2 * k, 61),
                   linear_axis("g_b", 0.0, 2 * k, 61)),
             outputs=("g2_ccw",),
-            label=name,
         ),
     }
+
+
+_PRESETS = _preset_table()
+FIGURE_NAMES = tuple(_PRESETS)
+
+
+def figure_preset(name: str) -> SweepSpec:
+    """Built-in sweep specification reproducing one reference scan."""
     try:
-        return presets[name]()
+        spec = _PRESETS[name]
     except KeyError:
         raise ValueError(
-            f"unknown figure preset {name!r}; available: {sorted(presets)}"
+            f"unknown figure preset {name!r}; available: {sorted(_PRESETS)}"
         ) from None
-
-
-FIGURE_NAMES = (
-    "fig2", "fig3", "fig4a", "fig4b", "fig7", "fig8a", "fig8b",
-    "fig9a", "fig9b", "fig10a", "fig10b", "fig14a", "fig14b",
-    "fig15a", "fig15b", "fig15c", "fig15d",
-)
+    return replace(spec, label=name)
 
 
 # ---------------------------------------------------------------------------

@@ -91,8 +91,7 @@ def test_sweep_command_value_axis_and_overrides(tmp_path):
 
 def test_figure_cutoff_and_engine_override(tmp_path):
     out = tmp_path / "fig7.csv"
-    assert main(["figure", "fig7", "--out", str(out), "--engine", "analytic",
-                 "--cutoff", "2"]) == 0
+    assert main(["figure", "fig7", "--out", str(out), "--cutoff", "2"]) == 0
     table = read_csv(out)
     assert table.metadata["engine"] == "analytic"
     assert table.metadata["cutoff_n_a"] == "2"

@@ -47,10 +47,6 @@ def test_spec_validation():
     with pytest.raises(ValueError):
         small_spec(outputs=("nope",))
     with pytest.raises(ValueError):
-        small_spec(outputs=("g2_analytic",), engine="master_equation")
-    with pytest.raises(ValueError):
-        small_spec(outputs=("g2_ccw",), engine="analytic")
-    with pytest.raises(ValueError):
         small_spec(axes=())
 
 
@@ -72,7 +68,6 @@ def test_g_alias_sets_both_couplings():
         base=reference_baseline(g_a=0.0, g_b=0.0),
         axes=(value_axis("g", [0.0, 20.0]),),
         outputs=("g2_analytic",),
-        engine="analytic",
     )
     g2 = run_sweep(spec).column("g2_analytic")
     assert g2[0] == pytest.approx(1.0, abs=1e-12)  # no emitter -> coherent
@@ -85,7 +80,6 @@ def test_two_axes_row_order_first_axis_outer():
         axes=(value_axis("j_coupling", [0.0, 800.0]),
               value_axis("delta", [-40.0, 40.0])),
         outputs=("g2_analytic",),
-        engine="analytic",
     )
     table = run_sweep(spec)
     assert [tuple(r[:2]) for r in table.rows] == [
@@ -114,7 +108,6 @@ def test_analytic_zero_drive_is_undefined_correlation():
         base=reference_baseline(g_a=12.0, g_b=31.0),
         axes=(value_axis("drive", [0.0, 1.0]),),
         outputs=("g2_analytic",),
-        engine="analytic",
     )
     table = run_sweep(spec)
     assert list(table.column("error")) == [ERROR_CODES["undefined_correlation"], ERROR_CODES["ok"]]
@@ -126,7 +119,6 @@ def test_weak_drive_domain_is_invalid_point():
         base=reference_baseline(g_a=12.0, g_b=31.0),
         axes=(value_axis("gamma_p", [0.0, 1.0]),),
         outputs=("g2_analytic",),
-        engine="analytic",
     )
     codes = run_sweep(spec).column("error")
     assert list(codes) == [ERROR_CODES["ok"], ERROR_CODES["invalid_point"]]
@@ -141,7 +133,6 @@ def test_programming_errors_propagate(monkeypatch):
         base=reference_baseline(),
         axes=(value_axis("delta", [0.0, 1.0]),),
         outputs=("p_t",),
-        engine="analytic",
     )
     with pytest.raises(ValueError, match="bug"):
         run_sweep(spec)
@@ -159,7 +150,6 @@ def test_weak_drive_solved_once_per_point(monkeypatch):
         base=reference_baseline(g_a=12.0, g_b=31.0),
         axes=(value_axis("delta", [-40.0, 0.0, 40.0]),),
         outputs=("g2_analytic", "c1_abs2", "c2_abs2"),
-        engine="analytic",
     )
     table = run_sweep(spec)
     assert len(calls) == 3
@@ -239,6 +229,9 @@ def test_all_presets_construct():
 def test_preset_details():
     fig2 = figure_preset("fig2")
     assert fig2.engine == "analytic"
+    assert figure_preset("fig3").engine == "both"
+    assert figure_preset("fig7").engine == "analytic"
+    assert figure_preset("fig4a").engine == "master_equation"
     assert fig2.axes[0].values == (32.0, 240.0)
     assert fig2.axes[1].values[0] == -400.0 and fig2.axes[1].values[-1] == 400.0
 
@@ -255,6 +248,13 @@ def test_preset_details():
     fig4a = figure_preset("fig4a")
     assert min(fig4a.axes[1].values) > 0.0  # g scan excludes the singular g = 0
     assert max(fig4a.axes[1].values) == pytest.approx(60.0)
+
+
+def test_engine_follows_outputs():
+    assert small_spec(outputs=("g2_ccw", "p_t")).engine == "master_equation"
+    assert small_spec(outputs=("p_t",)).engine == "analytic"
+    with pytest.raises(TypeError):
+        small_spec(engine="analytic")
 
 
 def test_metadata_documents_the_run():
