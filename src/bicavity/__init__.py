@@ -53,11 +53,9 @@ from .steadystate import (
 )
 from .weakdrive import (
     AmplitudeSet,
-    ComplexDetunings,
     c_amplitudes_closed_form,
     g2_closed_form,
     g2_ratio_asymptotic,
-    g2_weak_drive,
     solve_weak_drive,
 )
 from .meanfield import (

@@ -52,7 +52,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--max", dest="hi", type=float, default=None, help="highest detuning (default +10 kappa)")
     sp.add_argument("--points", type=int, default=401)
     sp.add_argument("--out", default="spectrum.csv")
-    sp.add_argument("--threads", type=int, default=1)
 
     sw = sub.add_parser("sweep", help="run a sweep described by an INI config file")
     sw.add_argument("config", help="config file; see README for the format")
@@ -82,24 +81,34 @@ def _cmd_spectrum(args) -> int:
         outputs=("p_t", "p_r"),
         label="spectrum",
     )
-    emit_csv(run_sweep(spec, threads=args.threads), args.out)
+    emit_csv(run_sweep(spec), args.out)
     print(f"wrote {args.out}")
     return 0
 
 
+# The keys each INI section may hold.
+_CONFIG_KEYS = {
+    "base": {f.name for f in dataclasses.fields(SystemParams)},
+    "axis1": {"name", "min", "max", "count", "values"},
+    "axis2": {"name", "min", "max", "count", "values"},
+    # engine is accepted from older configs and ignored: the outputs decide it
+    "sweep": {"outputs", "cutoff", "tie_delta_a", "label", "engine"},
+}
+
+
 def _parse_config(path) -> SweepSpec:
     cfg = configparser.ConfigParser()
+    cfg.read_dict({"base": {}, "sweep": {}})
     if not cfg.read(path):
         raise BicavityError(f"cannot read config file {path}")
-
-    base_kwargs = {k: float(v) for k, v in cfg["base"].items()} if "base" in cfg else {}
-    base = SystemParams(**base_kwargs)
+    for section in cfg.sections():
+        if section not in _CONFIG_KEYS:
+            raise ValueError(f"unknown config section [{section}]")
+        if unknown := sorted(set(cfg[section]) - _CONFIG_KEYS[section]):
+            raise ValueError(f"unknown key(s) {unknown} in config section [{section}]")
 
     axes: list[Axis] = []
-    for section in ("axis1", "axis2"):
-        if section not in cfg:
-            continue
-        sec = cfg[section]
+    for sec in (cfg[name] for name in ("axis1", "axis2") if name in cfg):
         if "values" in sec:
             axes.append(value_axis(sec["name"], [float(v) for v in sec["values"].split(",")]))
         else:
@@ -107,21 +116,20 @@ def _parse_config(path) -> SweepSpec:
                 linear_axis(sec["name"], sec.getfloat("min"), sec.getfloat("max"), sec.getint("count"))
             )
 
-    sweep_sec = cfg["sweep"] if "sweep" in cfg else {}
-    outputs = tuple(s.strip() for s in sweep_sec.get("outputs", "g2_ccw").split(","))
-    cutoff = int(sweep_sec.get("cutoff", "4"))
+    sweep_sec = cfg["sweep"]
+    cutoff = sweep_sec.getint("cutoff", 4)
     return SweepSpec(
-        base=base,
+        base=SystemParams(**{k: float(v) for k, v in cfg["base"].items()}),
         axes=tuple(axes),
-        outputs=outputs,
+        outputs=tuple(s.strip() for s in sweep_sec.get("outputs", "g2_ccw").split(",")),
         cutoffs=(cutoff, cutoff),
-        tie_delta_a=str(sweep_sec.get("tie_delta_a", "false")).lower() in ("1", "true", "yes"),
+        tie_delta_a=sweep_sec.getboolean("tie_delta_a", False),
         label=sweep_sec.get("label", "custom"),
     )
 
 
 def _finish_sweep(spec: SweepSpec, args, out_path) -> int:
-    if args.cutoff:
+    if args.cutoff is not None:
         spec = dataclasses.replace(spec, cutoffs=(args.cutoff, args.cutoff))
     table = run_sweep(spec, threads=args.threads)
     if getattr(args, "log10", False):

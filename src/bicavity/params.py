@@ -8,6 +8,7 @@ defaults follow the convention gamma_a = 1 (MHz), so e.g. kappa = 40 means
 from __future__ import annotations
 
 import dataclasses
+import math
 from dataclasses import dataclass
 
 
@@ -38,9 +39,12 @@ class SystemParams:
     def __post_init__(self):
         if not self.kappa > 0:
             raise ValueError(f"kappa must be positive, got {self.kappa}")
-        for name in ("j_coupling", "g_a", "g_b", "drive", "gamma_a", "gamma_p"):
+        for name in ("kappa", "delta", "delta_a", "j_coupling", "g_a", "g_b",
+                     "drive", "gamma_a", "gamma_p"):
             value = getattr(self, name)
-            if value < 0:
+            if not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value}")
+            if value < 0 and name not in ("delta", "delta_a"):
                 raise ValueError(f"{name} must be non-negative, got {value}")
 
     @property

@@ -3,9 +3,10 @@
 A sweep walks a 1-D or 2-D grid of parameter values, evaluates the requested
 observables at every point and collects the results into a rectangular table.
 Failed points are tagged with a numeric error code instead of being dropped,
-so 2-D scans always stay rectangular.  Grid points are independent; a bounded
-thread pool may evaluate them concurrently (LAPACK releases the GIL) and the
-row order is identical either way.
+so 2-D scans always stay rectangular.  threads > 1 evaluates points on a
+thread pool, in the same row order; two threads measured 0.99x the one-thread
+speed on the master equation and 0.42x on analytic sweeps.  The pool stays
+because the benchmark in perfbench/ passes threads=.
 
 Axis names are SystemParams fields plus two aliases:
   * "g"      sets g_a and g_b together,
@@ -26,6 +27,7 @@ from .errors import (
     AnalyticSingularityError,
     BicavityError,
     DegenerateSteadyStateError,
+    InvalidTruncationError,
     SteadyStateSolverError,
     SweepError,
     UndefinedCorrelationError,
@@ -33,12 +35,32 @@ from .errors import (
 from .meanfield import spectrum
 from .params import SystemParams, reference_baseline
 from .steadystate import g2_zero, mean_photon, solve_steady
-from .weakdrive import c_amplitudes_closed_form, g2_closed_form, solve_weak_drive
+from .weakdrive import solve_weak_drive
+# Not called here; kept as attributes that perfbench/tracer.py SITES patches.
+from .weakdrive import c_amplitudes_closed_form, g2_closed_form  # noqa: F401
 
-MASTER_OUTPUTS = ("g2_ccw", "g2_cw", "n_ccw", "n_cw")
-ANALYTIC_OUTPUTS = ("g2_analytic", "c1_abs2", "c2_abs2")
-MEANFIELD_OUTPUTS = ("p_t", "p_r")
-ALL_OUTPUTS = MASTER_OUTPUTS + ANALYTIC_OUTPUTS + MEANFIELD_OUTPUTS
+# Output -> (engine, reader of that engine's per-point result), in evaluation
+# order: master equation (n before g2), weak drive, mean field.  The lambdas
+# look names up at call time, so patched module attributes apply.
+_OUTPUTS = {
+    "n_ccw": ("master_equation", lambda rho: mean_photon(rho, "ccw")),
+    "n_cw": ("master_equation", lambda rho: mean_photon(rho, "cw")),
+    "g2_ccw": ("master_equation", lambda rho: g2_zero(rho, "ccw")),
+    "g2_cw": ("master_equation", lambda rho: g2_zero(rho, "cw")),
+    "g2_analytic": ("analytic", lambda amps: amps.g2_ccw),
+    "c1_abs2": ("analytic", lambda amps: abs(amps.c_100m) ** 2),
+    "c2_abs2": ("analytic", lambda amps: abs(amps.c_200m) ** 2),
+    "p_t": ("mean_field", lambda point: point.p_t),
+    "p_r": ("mean_field", lambda point: point.p_r),
+}
+# Engine -> its solve at one point.
+_SOLVERS = {
+    "master_equation": lambda spec, params: solve_steady(params, *spec.cutoffs),
+    "analytic": lambda spec, params: solve_weak_drive(params),
+    "mean_field": lambda spec, params: spectrum(params, [params.delta])[0],
+}
+ALL_OUTPUTS = tuple(_OUTPUTS)
+MASTER_OUTPUTS = tuple(o for o, (engine, _) in _OUTPUTS.items() if engine == "master_equation")
 
 # Numeric tags for the per-row "error" column.
 ERROR_CODES = {
@@ -98,6 +120,8 @@ class SweepSpec:
             raise ValueError("a sweep has one or two axes")
         if not self.outputs:
             raise ValueError("at least one output is required")
+        if min(self.cutoffs) < 1:
+            raise InvalidTruncationError(f"photon cutoffs must be >= 1, got {self.cutoffs}")
         for out in self.outputs:
             if out not in ALL_OUTPUTS:
                 raise ValueError(f"unknown output {out!r}; expected one of {ALL_OUTPUTS}")
@@ -105,10 +129,10 @@ class SweepSpec:
     @property
     def engine(self) -> str:
         """The engines the outputs call for; mean-field outputs ride along with either."""
-        wanted = set(self.outputs)
-        if not wanted & set(MASTER_OUTPUTS):
+        engines = {_OUTPUTS[out][0] for out in self.outputs}
+        if "master_equation" not in engines:
             return "analytic"
-        return "both" if wanted & set(ANALYTIC_OUTPUTS) else "master_equation"
+        return "both" if "analytic" in engines else "master_equation"
 
 
 @dataclass
@@ -147,43 +171,25 @@ def _point_params(spec: SweepSpec, assignment: dict[str, float]) -> SystemParams
     return spec.base.replace(**changes)
 
 
-def _evaluate_point(spec: SweepSpec, params: SystemParams) -> tuple[dict[str, float], int, float]:
-    """Compute the requested outputs at one point.
+def _evaluate_point(
+    spec: SweepSpec, plan, params: SystemParams
+) -> tuple[dict[str, float], int, float]:
+    """Compute the requested outputs at one point, each engine solved once.
 
-    Returns (values, error_code, master residual or nan); on failure the
-    missing outputs are nan.
+    plan is the requested part of _OUTPUTS, in its order.  Returns (values,
+    error_code, master residual or nan); on failure the missing outputs are nan.
     """
     values = {name: math.nan for name in spec.outputs}
     residual = math.nan
-    wanted = set(spec.outputs)
+    engine = result = None
     try:
-        if wanted & set(MASTER_OUTPUTS):
-            rho = solve_steady(params, *spec.cutoffs)
-            residual = rho.residual
-            if "n_ccw" in wanted:
-                values["n_ccw"] = mean_photon(rho, "ccw")
-            if "n_cw" in wanted:
-                values["n_cw"] = mean_photon(rho, "cw")
-            if "g2_ccw" in wanted:
-                values["g2_ccw"] = g2_zero(rho, "ccw")
-            if "g2_cw" in wanted:
-                values["g2_cw"] = g2_zero(rho, "cw")
-        if wanted & set(ANALYTIC_OUTPUTS):
-            # The closed forms need g_a == g_b; otherwise solve the system once.
-            amps = None if params.g_a == params.g_b else solve_weak_drive(params)
-            if "g2_analytic" in wanted:
-                values["g2_analytic"] = g2_closed_form(params) if amps is None else amps.g2_ccw
-            if {"c1_abs2", "c2_abs2"} & wanted:
-                if amps is None:
-                    c1, c2 = c_amplitudes_closed_form(params)
-                else:
-                    c1, c2 = amps.c_100m, amps.c_200m
-                values["c1_abs2"] = abs(c1) ** 2
-                values["c2_abs2"] = abs(c2) ** 2
-        if wanted & set(MEANFIELD_OUTPUTS):
-            point = spectrum(params, [params.delta])[0]
-            values["p_t"] = point.p_t
-            values["p_r"] = point.p_r
+        for name, (needed, read) in plan:
+            if needed != engine:
+                engine = needed
+                result = _SOLVERS[engine](spec, params)
+                if engine == "master_equation":
+                    residual = result.residual
+            values[name] = read(result)
     except UndefinedCorrelationError:
         return values, ERROR_CODES["undefined_correlation"], residual
     except AnalyticSingularityError:
@@ -201,10 +207,11 @@ def run_sweep(spec: SweepSpec, threads: int = 1) -> ResultTable:
     """Evaluate the sweep grid; deterministic row order (first axis outer)."""
     grid = list(itertools.product(*(axis.values for axis in spec.axes)))
     names = [axis.name for axis in spec.axes]
+    plan = [(name, entry) for name, entry in _OUTPUTS.items() if name in spec.outputs]
 
     def work(point):
         params = _point_params(spec, dict(zip(names, point)))
-        return _evaluate_point(spec, params)
+        return _evaluate_point(spec, plan, params)
 
     if threads > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
@@ -275,7 +282,7 @@ def _preset_table() -> dict[str, SweepSpec]:
             base=SystemParams(kappa=k, drive=1.0),
             axes=(value_axis("j_coupling", [0.8 * k, 6 * k]),
                   linear_axis("delta", -10 * k, 10 * k, 401)),
-            outputs=MEANFIELD_OUTPUTS,
+            outputs=("p_t", "p_r"),
         ),
         "fig3": SweepSpec(
             base=base,

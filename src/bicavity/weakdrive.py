@@ -5,8 +5,11 @@ steady state is parametrised by eight amplitudes on top of the ground state
 |0,0,-> (its amplitude is fixed to 1).  They solve a linear 8x8 system: the
 table's non-Hermitian Hamiltonian projected onto these kets, keeping an entry
 only where the row ket has at least as many excitations as the column ket (an
-n-excitation amplitude is O(drive^n)).  It holds for g_a != g_b; closed forms
-exist for g_a = g_b.  Pure dephasing is outside this treatment (gamma_p = 0).
+n-excitation amplitude is O(drive^n)).  It holds for any g_a, g_b, and sweeps
+solve it at every point.  The paper's closed forms for g_a = g_b, written in
+dp = delta - i*kappa/2 and dd = delta_a - i*gamma_a/2, are kept as the
+reference the system is checked against.  Pure dephasing is outside this
+treatment (gamma_p = 0).
 """
 
 from __future__ import annotations
@@ -25,22 +28,6 @@ from .params import SystemParams
 RESIDUAL_TOL = 1e-12
 
 _SQRT2 = np.sqrt(2.0)
-
-
-@dataclass(frozen=True)
-class ComplexDetunings:
-    """Detunings with decay folded in: delta_p = delta - i*kappa/2,
-    delta_d = delta_a - i*gamma_a/2."""
-
-    delta_p: complex
-    delta_d: complex
-
-    @classmethod
-    def from_params(cls, params: SystemParams) -> "ComplexDetunings":
-        return cls(
-            params.delta - 0.5j * params.kappa,
-            params.delta_a - 0.5j * params.gamma_a,
-        )
 
 
 @dataclass(frozen=True)
@@ -142,8 +129,8 @@ def _warn_if_not_weak(c: np.ndarray) -> None:
 def c_amplitudes_closed_form(params: SystemParams) -> tuple[complex, complex]:
     """Closed-form (c_100m, c_200m) for the common-coupling case g_a = g_b."""
     _check_domain(params, common_coupling=True)
-    det = ComplexDetunings.from_params(params)
-    dp, dd = det.delta_p, det.delta_d
+    dp = params.delta - 0.5j * params.kappa
+    dd = params.delta_a - 0.5j * params.gamma_a
     g, j, eps = params.g_a, params.j_coupling, params.drive
 
     denom1 = -2.0 * g**2 + j * dd + dp * dd
@@ -169,8 +156,8 @@ def c_amplitudes_closed_form(params: SystemParams) -> tuple[complex, complex]:
 def g2_closed_form(params: SystemParams) -> float:
     """Closed-form g2(0) of the driven mode (g_a = g_b, gamma_p = 0)."""
     _check_domain(params, common_coupling=True)
-    det = ComplexDetunings.from_params(params)
-    dp, dd = det.delta_p, det.delta_d
+    dp = params.delta - 0.5j * params.kappa
+    dd = params.delta_a - 0.5j * params.gamma_a
     g, j = params.g_a, params.j_coupling
 
     a1 = dp * (dp**2 * dd + (dd * dp - 2.0 * g**2) * (dd + j)) + g**4
@@ -181,11 +168,6 @@ def g2_closed_form(params: SystemParams) -> float:
     if abs(a3) < 1e-14 * scale or abs(a4) < 1e-14 * scale:
         raise AnalyticSingularityError(f"g2 closed form singular at {params}")
     return float(abs(a1) ** 2 * abs(a2) ** 2 / (abs(a3) ** 2 * abs(a4) ** 4))
-
-
-def g2_weak_drive(params: SystemParams) -> float:
-    """g2(0) from the weak-drive linear system (works for g_a != g_b)."""
-    return solve_weak_drive(params).g2_ccw
 
 
 def g2_ratio_asymptotic(params: SystemParams) -> tuple[float, float, float]:

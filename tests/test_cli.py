@@ -97,6 +97,44 @@ def test_figure_cutoff_and_engine_override(tmp_path):
     assert table.metadata["cutoff_n_a"] == "2"
 
 
+ONE_POINT_INI = (
+    "[base]\nkappa = 40\ng_a = 20\ng_b = 20\ndrive = 1\ngamma_a = 1\n"
+    "[axis1]\nname = j_coupling\nvalues = 0\n"
+    "[sweep]\noutputs = g2_analytic\n"
+)
+
+
+@pytest.mark.parametrize("typo, named", [
+    ("cutof = 2\n", "cutof"),
+    ("[swep]\ncutoff = 2\n", "swep"),
+], ids=["key", "section"])
+def test_unknown_config_key_is_reported(tmp_path, capsys, typo, named):
+    cfg = tmp_path / "typo.ini"
+    cfg.write_text(ONE_POINT_INI + typo)
+    out = tmp_path / "x.csv"
+    assert main(["sweep", str(cfg), "--out", str(out)]) == 1
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "ValueError"
+    assert named in err["message"]
+    assert not out.exists()
+
+
+def test_legacy_engine_key_is_ignored(tmp_path):
+    cfg = tmp_path / "legacy.ini"
+    cfg.write_text(ONE_POINT_INI + "engine = master_equation\n")
+    out = tmp_path / "x.csv"
+    assert main(["sweep", str(cfg), "--out", str(out)]) == 0
+    assert read_csv(out).metadata["engine"] == "analytic"
+
+
+@pytest.mark.parametrize("name", ["fig3", "fig7"])
+def test_zero_cutoff_is_reported(tmp_path, capsys, name):
+    out = tmp_path / "x.csv"
+    assert main(["figure", name, "--cutoff", "0", "--out", str(out)]) == 1
+    assert json.loads(capsys.readouterr().err)["error"] == "InvalidTruncationError"
+    assert not out.exists()
+
+
 def test_missing_config_is_reported(tmp_path, capsys):
     rc = main(["sweep", str(tmp_path / "nope.ini"), "--out", str(tmp_path / "x.csv")])
     assert rc == 1

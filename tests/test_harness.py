@@ -48,6 +48,8 @@ def test_spec_validation():
         small_spec(outputs=("nope",))
     with pytest.raises(ValueError):
         small_spec(axes=())
+    with pytest.raises(ValueError):
+        small_spec(cutoffs=(0, 2))
 
 
 def test_run_sweep_basic():
@@ -104,14 +106,16 @@ def test_failed_points_tagged_not_dropped():
 
 
 def test_analytic_zero_drive_is_undefined_correlation():
-    spec = SweepSpec(
-        base=reference_baseline(g_a=12.0, g_b=31.0),
-        axes=(value_axis("drive", [0.0, 1.0]),),
-        outputs=("g2_analytic",),
-    )
-    table = run_sweep(spec)
-    assert list(table.column("error")) == [ERROR_CODES["undefined_correlation"], ERROR_CODES["ok"]]
-    assert table.metadata["points_failed"] == "1"
+    for g_b in (31.0, 12.0):  # 12 is the common-coupling case g_a == g_b
+        spec = SweepSpec(
+            base=reference_baseline(g_a=12.0, g_b=g_b),
+            axes=(value_axis("drive", [0.0, 1.0]),),
+            outputs=("g2_analytic",),
+        )
+        table = run_sweep(spec)
+        codes = [ERROR_CODES["undefined_correlation"], ERROR_CODES["ok"]]
+        assert list(table.column("error")) == codes
+        assert table.metadata["points_failed"] == "1"
 
 
 def test_weak_drive_domain_is_invalid_point():
@@ -146,15 +150,17 @@ def test_weak_drive_solved_once_per_point(monkeypatch):
         return solve_weak_drive(params)
 
     monkeypatch.setattr(sweep, "solve_weak_drive", counting)
-    spec = SweepSpec(
-        base=reference_baseline(g_a=12.0, g_b=31.0),
-        axes=(value_axis("delta", [-40.0, 0.0, 40.0]),),
-        outputs=("g2_analytic", "c1_abs2", "c2_abs2"),
-    )
-    table = run_sweep(spec)
-    assert len(calls) == 3
-    amps = solve_weak_drive(calls[0])
-    assert table.rows[0][1:4] == [amps.g2_ccw, abs(amps.c_100m) ** 2, abs(amps.c_200m) ** 2]
+    for g_b in (31.0, 12.0):  # 12 is the common-coupling case g_a == g_b
+        calls.clear()
+        spec = SweepSpec(
+            base=reference_baseline(g_a=12.0, g_b=g_b),
+            axes=(value_axis("delta", [-40.0, 0.0, 40.0]),),
+            outputs=("g2_analytic", "c1_abs2", "c2_abs2"),
+        )
+        table = run_sweep(spec)
+        assert len(calls) == 3
+        amps = solve_weak_drive(calls[0])
+        assert table.rows[0][1:4] == [amps.g2_ccw, abs(amps.c_100m) ** 2, abs(amps.c_200m) ** 2]
 
 
 def test_all_points_failing_raises():

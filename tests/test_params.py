@@ -1,3 +1,5 @@
+import math
+
 import pytest
 
 from bicavity import SystemParams, reference_baseline
@@ -20,6 +22,12 @@ def test_validation():
         SystemParams(kappa=1.0, gamma_a=-0.5)
     with pytest.raises(ValueError):
         SystemParams(kappa=1.0, gamma_p=-0.1)
+
+    for name in ("kappa", "delta", "delta_a", "j_coupling", "g_a", "g_b",
+                 "drive", "gamma_a", "gamma_p"):
+        for value in (math.nan, math.inf, -math.inf):
+            with pytest.raises(ValueError, match=name):
+                SystemParams(**{"kappa": 1.0, name: value})
 
 
 def test_gamma_total():

@@ -3,13 +3,11 @@ import pytest
 
 from bicavity import (
     AnalyticSingularityError,
-    ComplexDetunings,
     SystemParams,
     UndefinedCorrelationError,
     c_amplitudes_closed_form,
     g2_closed_form,
     g2_ratio_asymptotic,
-    g2_weak_drive,
     master_equation_g2,
     mean_fields,
     reference_baseline,
@@ -33,12 +31,6 @@ def random_params(rng):
         drive=rng.uniform(0.001, 0.02),
         gamma_a=rng.uniform(0.2, 3.0),
     )
-
-
-def test_detunings():
-    d = ComplexDetunings.from_params(SystemParams(kappa=40.0, delta=3.0, delta_a=-2.0, gamma_a=1.0))
-    assert d.delta_p == 3.0 - 20.0j
-    assert d.delta_d == -2.0 - 0.5j
 
 
 def test_empty_system_single_amplitude():
@@ -115,7 +107,7 @@ def test_g_to_zero_limit_is_coherent():
 
 def test_generalized_couplings_match_master_equation():
     p = reference_baseline(g_a=12.0, g_b=36.0, j_coupling=800.0, drive=0.1)
-    analytic = g2_weak_drive(p)
+    analytic = solve_weak_drive(p).g2_ccw
     numeric = master_equation_g2(p, n_a_max=2, n_b_max=2)
     assert numeric == pytest.approx(analytic, rel=0.02)
 
