@@ -3,10 +3,15 @@
 A sweep walks a 1-D or 2-D grid of parameter values, evaluates the requested
 observables at every point and collects the results into a rectangular table.
 Failed points are tagged with a numeric error code instead of being dropped,
-so 2-D scans always stay rectangular.  threads > 1 evaluates points on a
-thread pool, in the same row order; two threads measured 0.99x the one-thread
-speed on the master equation and 0.42x on analytic sweeps.  The pool stays
-because the benchmark in perfbench/ passes threads=.
+so 2-D scans always stay rectangular.
+
+The grid is built once as an array of parameter rows.  Engines run in the
+order of _OUTPUTS, each on the rows that have not failed yet.  The weak-drive
+system is solved as stacked chunks of rows in the calling thread.  The master
+equation and the mean field are solved point by point; threads > 1 spreads
+those points over a thread pool, in the same row order.  Two threads measured
+0.99x the one-thread speed on the master equation; the pool stays because the
+benchmark in perfbench/ passes threads=.
 
 Axis names are SystemParams fields plus two aliases:
   * "g"      sets g_a and g_b together,
@@ -15,10 +20,10 @@ Axis names are SystemParams fields plus two aliases:
 
 from __future__ import annotations
 
-import itertools
 import math
+import warnings
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -32,31 +37,42 @@ from .errors import (
     SweepError,
     UndefinedCorrelationError,
 )
+from .dynamics import FIELDS, theta
 from .meanfield import spectrum
 from .params import SystemParams, reference_baseline
 from .steadystate import g2_zero, mean_photon, solve_steady
-from .weakdrive import solve_weak_drive
+from .weakdrive import (
+    RESIDUAL_TOL,
+    abs2,
+    g2_driven,
+    hierarchy_violated,
+    in_domain,
+    solve_weak_drive_rows,
+)
 # Not called here; kept as attributes that perfbench/tracer.py SITES patches.
-from .weakdrive import c_amplitudes_closed_form, g2_closed_form  # noqa: F401
+from .weakdrive import c_amplitudes_closed_form, g2_closed_form, solve_weak_drive  # noqa: F401
 
-# Output -> (engine, reader of that engine's per-point result), in evaluation
-# order: master equation (n before g2), weak drive, mean field.  The lambdas
-# look names up at call time, so patched module attributes apply.
+# Output -> (engine, reader of that engine's result), in evaluation order:
+# master equation (n before g2), weak drive, mean field.  Weak-drive readers take
+# the amplitudes of many rows, shape (n, 8) in AmplitudeSet order, and give nan
+# where the output is undefined; g2_driven is also what AmplitudeSet.g2_ccw
+# reads, so a row matches a single-point solve bit for bit.  The others read
+# one point's result.  The lambdas look names up at call time, so patched
+# module attributes apply.
 _OUTPUTS = {
     "n_ccw": ("master_equation", lambda rho: mean_photon(rho, "ccw")),
     "n_cw": ("master_equation", lambda rho: mean_photon(rho, "cw")),
     "g2_ccw": ("master_equation", lambda rho: g2_zero(rho, "ccw")),
     "g2_cw": ("master_equation", lambda rho: g2_zero(rho, "cw")),
-    "g2_analytic": ("analytic", lambda amps: amps.g2_ccw),
-    "c1_abs2": ("analytic", lambda amps: abs(amps.c_100m) ** 2),
-    "c2_abs2": ("analytic", lambda amps: abs(amps.c_200m) ** 2),
+    "g2_analytic": ("analytic", lambda c: g2_driven(c[:, 0], c[:, 3])),
+    "c1_abs2": ("analytic", lambda c: abs2(c[:, 0])),
+    "c2_abs2": ("analytic", lambda c: abs2(c[:, 3])),
     "p_t": ("mean_field", lambda point: point.p_t),
     "p_r": ("mean_field", lambda point: point.p_r),
 }
-# Engine -> its solve at one point.
+# Point-by-point engine -> its solve at one point.
 _SOLVERS = {
     "master_equation": lambda spec, params: solve_steady(params, *spec.cutoffs),
-    "analytic": lambda spec, params: solve_weak_drive(params),
     "mean_field": lambda spec, params: spectrum(params, [params.delta])[0],
 }
 ALL_OUTPUTS = tuple(_OUTPUTS)
@@ -71,9 +87,18 @@ ERROR_CODES = {
     "degenerate_steady_state": 4,
     "invalid_point": 9,
 }
+# Row code of each package error, most specific first; any other is invalid_point.
+_ERROR_OF = (
+    (UndefinedCorrelationError, "undefined_correlation"),
+    (AnalyticSingularityError, "analytic_singularity"),
+    (SteadyStateSolverError, "solver_failure"),
+    (DegenerateSteadyStateError, "degenerate_steady_state"),
+)
+# Rows per stacked weak-drive solve.  A chunk's work arrays take a few MB; one
+# stack of a whole 201 x 201 scan would take about 50 MB.
+_CHUNK = 1024
 
-_PARAM_FIELDS = tuple(f.name for f in fields(SystemParams))
-_AXIS_NAMES = _PARAM_FIELDS + ("g",)
+_AXIS_NAMES = FIELDS + ("g",)
 
 
 @dataclass(frozen=True)
@@ -157,78 +182,150 @@ class ResultTable:
         return ResultTable(columns, rows, dict(self.metadata))
 
 
-def _point_params(spec: SweepSpec, assignment: dict[str, float]) -> SystemParams:
-    changes: dict[str, float] = {}
-    for name, value in assignment.items():
-        if name == "g":
-            changes["g_a"] = value
-            changes["g_b"] = value
-        elif name == "delta" and spec.tie_delta_a:
-            changes["delta"] = value
-            changes["delta_a"] = value
-        else:
-            changes[name] = value
-    return spec.base.replace(**changes)
+def _axis_fields(spec: SweepSpec, name: str) -> tuple[str, ...]:
+    """The SystemParams fields one axis sets."""
+    if name == "g":
+        return ("g_a", "g_b")
+    if name == "delta" and spec.tie_delta_a:
+        return ("delta", "delta_a")
+    return (name,)
 
 
-def _evaluate_point(
-    spec: SweepSpec, plan, params: SystemParams
-) -> tuple[dict[str, float], int, float]:
-    """Compute the requested outputs at one point, each engine solved once.
+def _grid(spec: SweepSpec) -> tuple[np.ndarray, np.ndarray]:
+    """Axis values (P, axes) and parameter rows (P, len(FIELDS)), first axis outer.
 
-    plan is the requested part of _OUTPUTS, in its order.  Returns (values,
-    error_code, master residual or nan); on failure the missing outputs are nan.
+    Each axis value is checked once through SystemParams; its checks are per
+    field, so that covers every point.
     """
-    values = {name: math.nan for name in spec.outputs}
-    residual = math.nan
-    engine = result = None
+    points = np.stack(
+        np.meshgrid(*(axis.values for axis in spec.axes), indexing="ij"), axis=-1
+    ).reshape(-1, len(spec.axes))
+    thetas = np.tile(theta(spec.base), (len(points), 1))
+    for k, axis in enumerate(spec.axes):
+        names = _axis_fields(spec, axis.name)
+        for value in axis.values:
+            spec.base.replace(**dict.fromkeys(names, value))
+        thetas[:, [FIELDS.index(name) for name in names]] = points[:, k, None]
+    return points, thetas
+
+
+def _error_code(exc: BicavityError) -> int:
+    for cls, name in _ERROR_OF:
+        if isinstance(exc, cls):
+            return ERROR_CODES[name]
+    return ERROR_CODES["invalid_point"]
+
+
+def _point_rows(spec: SweepSpec, engine: str, readers, thetas: np.ndarray, threads: int):
+    """Solve one engine point by point and read its outputs.
+
+    Returns (values (n, outputs), codes (n,), master-equation residuals); on
+    failure a point keeps the outputs read so far and nan for the rest.
+    """
+
+    def work(row):
+        params = SystemParams(*row.tolist())
+        out = [math.nan] * len(readers)
+        residual = math.nan
+        try:
+            result = _SOLVERS[engine](spec, params)
+            if engine == "master_equation":
+                residual = result.residual
+            for k, read in enumerate(readers):
+                out[k] = read(result)
+        except BicavityError as exc:
+            return out, _error_code(exc), residual
+        return out, ERROR_CODES["ok"], residual
+
+    if threads > 1:
+        with ThreadPoolExecutor(max_workers=threads) as pool:
+            results = list(pool.map(work, thetas))
+    else:
+        results = [work(row) for row in thetas]
+    values = np.array([out for out, _, _ in results], dtype=float).reshape(len(thetas), -1)
+    codes = np.array([code for _, code, _ in results], dtype=int)
+    residuals = [r for _, _, r in results if not math.isnan(r)]
+    return values, codes, residuals
+
+
+def _solve_chunk(thetas: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Amplitudes (n, 8) and row codes of one stacked weak-drive solve.
+
+    A row whose residual is not within RESIDUAL_TOL (nan included) is an
+    analytic singularity.  A singular system fails the whole stack, so then
+    each row is solved on its own, and a singular row is a singularity too.
+    """
     try:
-        for name, (needed, read) in plan:
-            if needed != engine:
-                engine = needed
-                result = _SOLVERS[engine](spec, params)
-                if engine == "master_equation":
-                    residual = result.residual
-            values[name] = read(result)
-    except UndefinedCorrelationError:
-        return values, ERROR_CODES["undefined_correlation"], residual
-    except AnalyticSingularityError:
-        return values, ERROR_CODES["analytic_singularity"], residual
-    except SteadyStateSolverError:
-        return values, ERROR_CODES["solver_failure"], residual
-    except DegenerateSteadyStateError:
-        return values, ERROR_CODES["degenerate_steady_state"], residual
-    except BicavityError:
-        return values, ERROR_CODES["invalid_point"], residual
-    return values, ERROR_CODES["ok"], residual
+        c, residual = solve_weak_drive_rows(thetas)
+    except np.linalg.LinAlgError:
+        if len(thetas) == 1:
+            return np.full((1, 8), np.nan, dtype=complex), np.array(
+                [ERROR_CODES["analytic_singularity"]]
+            )
+        rows = [_solve_chunk(thetas[i:i + 1]) for i in range(len(thetas))]
+        return np.concatenate([c for c, _ in rows]), np.concatenate([codes for _, codes in rows])
+    return c, np.where(
+        residual <= RESIDUAL_TOL, ERROR_CODES["ok"], ERROR_CODES["analytic_singularity"]
+    )
+
+
+def _analytic_rows(readers, thetas: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The weak-drive outputs and codes of every row, from stacked solves in this thread.
+
+    Rows outside the domain are invalid points, _solve_chunk codes the solves,
+    and a nan output marks an undefined correlation; each failed row keeps nan
+    in every weak-drive output.  At most one warning reports the rows whose
+    amplitudes break the weak-drive hierarchy.
+    """
+    values = np.full((len(thetas), len(readers)), np.nan)
+    codes = np.where(in_domain(thetas), ERROR_CODES["ok"], ERROR_CODES["invalid_point"])
+    solvable = np.flatnonzero(codes == ERROR_CODES["ok"])
+    violated = 0
+    for start in range(0, solvable.size, _CHUNK):
+        rows = solvable[start:start + _CHUNK]
+        c, codes[rows] = _solve_chunk(thetas[rows])
+        ok = codes[rows] == ERROR_CODES["ok"]
+        violated += int(np.count_nonzero(hierarchy_violated(c[ok])))
+        values[rows[ok]] = np.column_stack([read(c[ok]) for read in readers])
+    undefined = (codes == ERROR_CODES["ok"]) & np.isnan(values).any(axis=1)
+    codes[undefined] = ERROR_CODES["undefined_correlation"]
+    values[undefined] = np.nan
+    if violated:
+        warnings.warn(
+            f"weak-drive hierarchy violated at {violated} of {len(thetas)} analytic rows "
+            "(drive is not weak there); amplitudes may not describe the steady state",
+            stacklevel=3,
+        )
+    return values, codes
 
 
 def run_sweep(spec: SweepSpec, threads: int = 1) -> ResultTable:
     """Evaluate the sweep grid; deterministic row order (first axis outer)."""
-    grid = list(itertools.product(*(axis.values for axis in spec.axes)))
-    names = [axis.name for axis in spec.axes]
-    plan = [(name, entry) for name, entry in _OUTPUTS.items() if name in spec.outputs]
+    points, thetas = _grid(spec)
+    values = np.full((len(thetas), len(spec.outputs)), np.nan)
+    codes = np.zeros(len(thetas), dtype=int)
+    residuals = []
+    plan: dict[str, list[str]] = {}
+    for name, (engine, _) in _OUTPUTS.items():
+        if name in spec.outputs:
+            plan.setdefault(engine, []).append(name)
+    for engine, names in plan.items():
+        live = np.flatnonzero(codes == ERROR_CODES["ok"])
+        readers = [_OUTPUTS[name][1] for name in names]
+        if engine == "analytic":
+            engine_values, codes[live] = _analytic_rows(readers, thetas[live])
+        else:
+            engine_values, codes[live], engine_residuals = _point_rows(
+                spec, engine, readers, thetas[live], threads
+            )
+            residuals += engine_residuals
+        values[np.ix_(live, [spec.outputs.index(name) for name in names])] = engine_values
 
-    def work(point):
-        params = _point_params(spec, dict(zip(names, point)))
-        return _evaluate_point(spec, plan, params)
-
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(work, grid))
-    else:
-        results = [work(point) for point in grid]
-
-    columns = names + list(spec.outputs) + ["error"]
-    rows = [
-        list(point) + [values[name] for name in spec.outputs] + [float(code)]
-        for point, (values, code, _) in zip(grid, results)
-    ]
-    failed = sum(1 for _, code, _ in results if code != ERROR_CODES["ok"])
-    if failed == len(rows):
+    failed = int(np.count_nonzero(codes))
+    if failed == len(codes):
         raise SweepError("every grid point of the sweep failed")
-
-    residuals = [r for _, _, r in results if not math.isnan(r)]
+    columns = [axis.name for axis in spec.axes] + list(spec.outputs) + ["error"]
+    rows = np.column_stack([points, values, codes]).tolist()
     metadata = _metadata(spec, len(rows), failed, residuals)
     return ResultTable(columns, rows, metadata)
 
@@ -244,7 +341,7 @@ def _metadata(spec: SweepSpec, total: int, failed: int, residuals) -> dict[str, 
         "tie_delta_a": str(spec.tie_delta_a).lower(),
         "outputs": ",".join(spec.outputs),
     }
-    for name in _PARAM_FIELDS:
+    for name in FIELDS:
         md[f"base.{name}"] = repr(getattr(spec.base, name))
     for k, axis in enumerate(spec.axes, start=1):
         if len(axis.values) <= 16:

@@ -5,8 +5,10 @@ steady state is parametrised by eight amplitudes on top of the ground state
 |0,0,-> (its amplitude is fixed to 1).  They solve a linear 8x8 system: the
 table's non-Hermitian Hamiltonian projected onto these kets, keeping an entry
 only where the row ket has at least as many excitations as the column ket (an
-n-excitation amplitude is O(drive^n)).  It holds for any g_a, g_b, and sweeps
-solve it at every point.  The paper's closed forms for g_a = g_b, written in
+n-excitation amplitude is O(drive^n)).  It holds for any g_a, g_b.
+solve_weak_drive_rows solves it for a stack of parameter rows at once; sweeps
+call it on chunks of their grid, and solve_weak_drive is its one-row case.
+The paper's closed forms for g_a = g_b, written in
 dp = delta - i*kappa/2 and dd = delta_a - i*gamma_a/2, are kept as the
 reference the system is checked against.  Pure dephasing is outside this
 treatment (gamma_p = 0).
@@ -52,9 +54,24 @@ class AmplitudeSet:
     @property
     def g2_ccw(self) -> float:
         """g2(0) of the driven mode: 2|c_200m|^2 / |c_100m|^4."""
-        if self.c_100m == 0:
+        g2 = g2_driven(np.array([self.c_100m]), np.array([self.c_200m]))[0]
+        if np.isnan(g2):
             raise UndefinedCorrelationError("one-photon amplitude is 0; g2(0) is undefined")
-        return float(2.0 * abs(self.c_200m) ** 2 / abs(self.c_100m) ** 4)
+        return float(g2)
+
+
+def abs2(z: np.ndarray) -> np.ndarray:
+    """|z|^2 elementwise.  hypot and a square round alike at every position and
+    array length, so a one-element call gives a sweep's value bit for bit."""
+    return np.hypot(z.real, z.imag) ** 2
+
+
+def g2_driven(c_100m: np.ndarray, c_200m: np.ndarray) -> np.ndarray:
+    """g2(0) of the driven mode, 2|c_200m|^2 / |c_100m|^4, elementwise over
+    amplitude arrays; nan where |c_100m|^4 is 0 and g2(0) is undefined."""
+    one = abs2(c_100m)
+    denom = one * one
+    return np.divide(2.0 * abs2(c_200m), denom, out=np.full(denom.shape, np.nan), where=denom > 0)
 
 
 # Ansatz kets (n_ccw, n_cw, emitter): |0,0,-> then the AmplitudeSet order.
@@ -81,6 +98,23 @@ def _hamiltonian_parts() -> np.ndarray:
     return parts
 
 
+@lru_cache(maxsize=1)
+def _hamiltonian_terms() -> tuple[tuple[int, np.ndarray, np.ndarray], ...]:
+    """The nonzero entries of each field's part, as (field index, positions,
+    values) over the real view of the flattened parts.  Adding them field by
+    field sums in the same order as theta @ _hamiltonian_parts()."""
+    real = _hamiltonian_parts().view(float)
+    return tuple(
+        (k, np.flatnonzero(row), row[np.flatnonzero(row)])
+        for k, row in enumerate(real) if row.any()
+    )
+
+
+def in_domain(thetas: np.ndarray) -> np.ndarray:
+    """Rows (theta order) inside the weak-drive analysis: no pure dephasing."""
+    return thetas[:, FIELDS.index("gamma_p")] == 0
+
+
 def _check_domain(params: SystemParams, common_coupling: bool = False) -> None:
     """Reject points outside the weak-drive analysis (and the closed forms)."""
     if common_coupling and params.g_a != params.g_b:
@@ -91,39 +125,53 @@ def _check_domain(params: SystemParams, common_coupling: bool = False) -> None:
         )
 
 
+def solve_weak_drive_rows(thetas: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Solve the 8x8 system at every parameter row, shape (n, len(FIELDS)).
+
+    Returns the amplitudes, shape (n, 8) in AmplitudeSet order, and each row's
+    relative residual max|m c - rhs| / (max|m| max|c|).  Raises LinAlgError if
+    any row's system is singular; the domain and the residual are left to the
+    caller.
+    """
+    h = np.zeros((len(thetas), 2 * len(_KETS) ** 2))
+    for k, positions, values in _hamiltonian_terms():
+        h[:, positions] += thetas[:, k, None] * values
+    h = h.view(complex).reshape(-1, len(_KETS), len(_KETS))
+    # H_nh c = 0 on the ansatz kets; c_000m = 1 moves to the right-hand side.
+    m, rhs = h[:, 1:, 1:], -h[:, 1:, :1]
+    c = np.linalg.solve(m, rhs)
+    scale = np.maximum(np.abs(m).max(axis=(1, 2)) * np.abs(c).max(axis=(1, 2)), 1e-300)
+    residual = np.abs(m @ c - rhs).max(axis=(1, 2)) / scale
+    return c[..., 0], residual
+
+
+def hierarchy_violated(c: np.ndarray) -> np.ndarray:
+    """Rows of amplitudes (n, 8) where one exceeds 0.3, so that the weak-drive
+    hierarchy 1 >> singles >> doubles does not hold (a soft check)."""
+    return np.abs(c).max(axis=1) > 0.3
+
+
 def solve_weak_drive(params: SystemParams) -> AmplitudeSet:
     """Solve the 8x8 weak-drive linear system (supports g_a != g_b)."""
     _check_domain(params)
-    # H_nh c = 0 on the ansatz kets; c_000m = 1 moves to the right-hand side.
-    h = (theta(params) @ _hamiltonian_parts()).reshape(len(_KETS), len(_KETS))
-    m, rhs = h[1:, 1:], -h[1:, 0]
     try:
-        c = np.linalg.solve(m, rhs)
+        c, residual = solve_weak_drive_rows(theta(params)[None])
     except np.linalg.LinAlgError as exc:
         raise AnalyticSingularityError(
             f"weak-drive system singular at {params}"
         ) from exc
-    scale = max(float(np.max(np.abs(m))) * float(np.max(np.abs(c))), 1e-300)
-    residual = float(np.max(np.abs(m @ c - rhs))) / scale
-    if residual > RESIDUAL_TOL:
+    if not residual[0] <= RESIDUAL_TOL:  # a nan residual fails too
         raise AnalyticSingularityError(
-            f"weak-drive solve residual {residual:.3e} above {RESIDUAL_TOL:.0e} "
+            f"weak-drive solve residual {residual[0]:.3e} above {RESIDUAL_TOL:.0e} "
             f"at {params}"
         )
-    _warn_if_not_weak(c)
-    return AmplitudeSet(*c, residual=residual)
-
-
-def _warn_if_not_weak(c: np.ndarray) -> None:
-    """Soft check of the amplitude hierarchy 1 >> singles >> doubles."""
-    singles = float(np.max(np.abs(c[:3])))
-    doubles = float(np.max(np.abs(c[3:])))
-    if singles > 0.3 or doubles > 0.3:
+    if hierarchy_violated(c)[0]:
         warnings.warn(
             "weak-drive hierarchy violated (drive is not weak at this point); "
             "amplitudes may not describe the steady state",
-            stacklevel=3,
+            stacklevel=2,
         )
+    return AmplitudeSet(*c[0], residual=float(residual[0]))
 
 
 def c_amplitudes_closed_form(params: SystemParams) -> tuple[complex, complex]:

@@ -8,6 +8,7 @@ from bicavity import (
     FIGURE_NAMES,
     Axis,
     ResultTable,
+    SystemParams,
     SweepError,
     SweepSpec,
     emit_csv,
@@ -19,6 +20,7 @@ from bicavity import (
     solve_weak_drive,
     value_axis,
 )
+from bicavity.weakdrive import abs2, solve_weak_drive_rows
 from bicavity import sweep
 
 
@@ -143,24 +145,69 @@ def test_programming_errors_propagate(monkeypatch):
 
 
 def test_weak_drive_solved_once_per_point(monkeypatch):
-    calls = []
+    rows, amplitudes = [], []
 
-    def counting(params):
-        calls.append(params)
-        return solve_weak_drive(params)
+    def counting(thetas):
+        c, residual = solve_weak_drive_rows(thetas)
+        rows.extend(thetas.tolist())
+        amplitudes.extend(c)
+        return c, residual
 
-    monkeypatch.setattr(sweep, "solve_weak_drive", counting)
+    monkeypatch.setattr(sweep, "solve_weak_drive_rows", counting)
     for g_b in (31.0, 12.0):  # 12 is the common-coupling case g_a == g_b
-        calls.clear()
+        rows.clear()
+        amplitudes.clear()
         spec = SweepSpec(
             base=reference_baseline(g_a=12.0, g_b=g_b),
             axes=(value_axis("delta", [-40.0, 0.0, 40.0]),),
             outputs=("g2_analytic", "c1_abs2", "c2_abs2"),
         )
         table = run_sweep(spec)
-        assert len(calls) == 3
-        amps = solve_weak_drive(calls[0])
-        assert table.rows[0][1:4] == [amps.g2_ccw, abs(amps.c_100m) ** 2, abs(amps.c_200m) ** 2]
+        assert sorted(row[1] for row in rows) == [-40.0, 0.0, 40.0]
+        for row, theta, c in zip(table.rows, rows, amplitudes):
+            amps = solve_weak_drive(SystemParams(*theta))
+            assert list(c) == [amps.c_100m, amps.c_010m, amps.c_000p, amps.c_200m,
+                               amps.c_020m, amps.c_110m, amps.c_100p, amps.c_010p]
+            assert row[1:4] == [amps.g2_ccw, *abs2(np.array([amps.c_100m, amps.c_200m]))]
+
+
+def test_hierarchy_warning_reaches_the_caller():
+    spec = SweepSpec(
+        base=reference_baseline(),
+        axes=(value_axis("drive", [1.0, 100.0, 200.0]),),
+        outputs=("g2_analytic",),
+    )
+    with pytest.warns(UserWarning, match="weak-drive hierarchy violated at 2 of 3") as caught:
+        run_sweep(spec, threads=2)
+    assert len(caught) == 1
+
+
+@pytest.mark.parametrize(
+    "name, values, message",
+    [
+        ("kappa", [40.0, 0.0], "kappa must be positive, got 0.0"),
+        ("g", [20.0, -1.0], "g_a must be non-negative, got -1.0"),
+        ("delta", [0.0, math.nan], "delta must be finite, got nan"),
+    ],
+)
+@pytest.mark.parametrize("outputs", [("g2_analytic",), ("g2_ccw",)])
+def test_invalid_axis_value_raises(name, values, message, outputs):
+    spec = small_spec(axes=(value_axis(name, values),), outputs=outputs)
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        run_sweep(spec)
+
+
+def test_analytic_csv_deterministic(tmp_path):
+    # 45 x 45 = 2025 rows: more than one stacked chunk
+    spec = SweepSpec(
+        base=reference_baseline(j_coupling=800.0),
+        axes=(linear_axis("g_a", 0.0, 80.0, 45), linear_axis("g_b", 0.0, 80.0, 45)),
+        outputs=("g2_analytic", "c1_abs2", "c2_abs2"),
+    )
+    p1, p2 = tmp_path / "a.csv", tmp_path / "b.csv"
+    emit_csv(run_sweep(spec), p1)
+    emit_csv(run_sweep(spec), p2)
+    assert p1.read_bytes() == p2.read_bytes()
 
 
 def test_all_points_failing_raises():

@@ -1,26 +1,47 @@
-"""Property checks of the affine operator table and the real-coordinate solver.
+"""Property checks of the affine operator table, the real-coordinate solver
+and the stacked weak-drive sweep.
 
-The reference is the direct construction: the Lindblad generator assembled
-from Kronecker products of the full operators, and its steady state from a
-dense complex solve with the trace condition in place of the first row.
+The reference for the table is the direct construction: the Lindblad
+generator assembled from Kronecker products of the full operators, and its
+steady state from a dense complex solve with the trace condition in place of
+the first row.  The reference for an analytic sweep is a loop of
+solve_weak_drive calls, one per grid point.
 """
 
+import itertools
+import math
+import warnings
+from unittest import mock
+
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bicavity import (
+    ERROR_CODES,
+    AnalyticSingularityError,
+    SteadyStateSolverError,
+    SweepSpec,
     SystemParams,
+    UndefinedCorrelationError,
+    WeakDriveDomainError,
     annihilator,
     build_space,
     emitter_excitation_projector,
     emitter_lowering,
     liouvillian,
     pauli_z,
+    reference_baseline,
+    run_sweep,
     solve_steady,
+    solve_weak_drive,
     unvectorize,
+    value_axis,
 )
+from bicavity import sweep
 from bicavity.steadystate import PSD_TOL
+from bicavity.weakdrive import abs2
 
 
 def kronecker_liouvillian(p: SystemParams, space) -> np.ndarray:
@@ -109,3 +130,144 @@ def test_steady_state_is_a_density_matrix(point):
     assert abs(np.trace(m) - 1.0) <= 1e-12
     assert np.array_equal(m, m.conj().T)
     assert np.linalg.eigvalsh(m).min() >= -PSD_TOL
+
+
+ANALYTIC = ("g2_analytic", "c1_abs2", "c2_abs2")
+
+
+@st.composite
+def analytic_sweeps(draw):
+    """1-D and 2-D analytic sweeps over zero drive, gamma_p > 0, g_a == g_b and large J."""
+    kappa = draw(st.floats(1.0, 60.0))
+    g_a = draw(st.floats(0.0, 80.0))
+    base = SystemParams(
+        kappa=kappa,
+        delta=draw(st.floats(-120.0, 120.0)),
+        delta_a=draw(st.sampled_from([0.0, 35.0, -80.0])),
+        j_coupling=draw(st.floats(0.0, 400.0 * kappa)),
+        g_a=g_a,
+        g_b=draw(st.sampled_from([g_a, 0.0, 31.0])),
+        drive=draw(st.sampled_from([0.01, 1.0, 3.0, 0.0])),
+        gamma_a=draw(st.sampled_from([1.0, 2.5, 0.0])),
+        gamma_p=draw(st.sampled_from([0.0, 0.0, 0.0, 2.0])),
+    )
+    values = {
+        "drive": st.sampled_from([0.5, 0.001, 50.0, 0.0]),
+        "gamma_p": st.sampled_from([0.0, 0.0, 3.0]),
+        "gamma_a": st.sampled_from([1.0, 0.0]),
+        "g": st.floats(0.0, 100.0),
+        "g_a": st.sampled_from([0.0, g_a, 12.0, 60.0]),
+        "g_b": st.sampled_from([0.0, g_a, 12.0, 60.0]),
+        "j_coupling": st.sampled_from([0.0, 40.0, 1600.0, 1e5]),
+        "delta": st.floats(-200.0, 200.0),
+        "delta_a": st.sampled_from([0.0, 20.0, -75.0]),
+        "kappa": st.floats(0.5, 100.0),
+    }
+    axes = []
+    for name in draw(st.lists(st.sampled_from(sorted(values)), min_size=1, max_size=2)):
+        axes.append(value_axis(name, draw(st.lists(values[name], min_size=1, max_size=7))))
+    spec = SweepSpec(
+        base=base,
+        axes=tuple(axes),
+        outputs=tuple(draw(st.permutations(ANALYTIC))[:draw(st.integers(1, 3))]),
+        tie_delta_a=draw(st.booleans()),
+    )
+    return spec, draw(st.sampled_from([1, 2, 3, 1024]))
+
+
+def point_by_point(spec):
+    """Rows (values, error code) and the hierarchy-warning count from one solve per point."""
+    rows, warned = [], 0
+    for point in itertools.product(*(axis.values for axis in spec.axes)):
+        changes = {}
+        for axis, value in zip(spec.axes, point):
+            if axis.name == "g":
+                changes.update(g_a=value, g_b=value)
+            elif axis.name == "delta" and spec.tie_delta_a:
+                changes.update(delta=value, delta_a=value)
+            else:
+                changes[axis.name] = value
+        values = {name: math.nan for name in spec.outputs}
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            try:
+                amps = solve_weak_drive(spec.base.replace(**changes))
+                readers = {
+                    "g2_analytic": lambda: amps.g2_ccw,
+                    "c1_abs2": lambda: abs(amps.c_100m) ** 2,
+                    "c2_abs2": lambda: abs(amps.c_200m) ** 2,
+                }
+                for name in ANALYTIC:  # the sweep's evaluation order
+                    if name in spec.outputs:
+                        values[name] = readers[name]()
+                code = ERROR_CODES["ok"]
+            except WeakDriveDomainError:
+                code = ERROR_CODES["invalid_point"]
+            except AnalyticSingularityError:
+                code = ERROR_CODES["analytic_singularity"]
+            except UndefinedCorrelationError:
+                code = ERROR_CODES["undefined_correlation"]
+        warned += len(caught)
+        rows.append(([values[name] for name in spec.outputs], code))
+    return rows, warned
+
+
+@settings(PROPERTY_SETTINGS, max_examples=150)
+@given(analytic_sweeps())
+def test_analytic_sweep_matches_point_by_point(drawn):
+    spec, chunk = drawn
+    expected, warned = point_by_point(spec)
+    with mock.patch.object(sweep, "_CHUNK", chunk), warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        if all(code != ERROR_CODES["ok"] for _, code in expected):
+            with pytest.raises(sweep.SweepError):
+                run_sweep(spec)
+            return
+        table = run_sweep(spec)
+    assert [str(w.message) for w in caught] == (
+        [f"weak-drive hierarchy violated at {warned} of {len(expected)} analytic rows "
+         "(drive is not weak there); amplitudes may not describe the steady state"]
+        if warned else []
+    )
+    width = len(spec.axes)
+    for row, (values, code) in zip(table.rows, expected, strict=True):
+        assert row[-1] == code
+        for got, want in zip(row[width:-1], values, strict=True):
+            assert (math.isnan(got) and math.isnan(want)) or math.isclose(got, want, rel_tol=1e-12)
+
+
+def test_singular_chunk_falls_back_to_point_solves():
+    # With g = 0 and gamma_a = 0 the emitter ket decouples: delta_a = 0 is singular.
+    spec = SweepSpec(
+        base=SystemParams(kappa=40.0, drive=1.0),
+        axes=(value_axis("delta_a", [5.0, 0.0, -5.0]),),
+        outputs=("g2_analytic", "c1_abs2"),
+    )
+    table = run_sweep(spec)
+    assert list(table.column("error")) == [0.0, ERROR_CODES["analytic_singularity"], 0.0]
+    assert np.isnan(table.rows[1][1:3]).all()
+    amps = solve_weak_drive(spec.base.replace(delta_a=5.0))
+    assert table.rows[0][1:3] == [amps.g2_ccw, abs2(np.array([amps.c_100m]))[0]]
+
+
+def test_master_equation_failure_leaves_analytic_cells_nan(monkeypatch):
+    solve = sweep.solve_steady
+
+    def failing_at_resonance(params, *cutoffs):
+        if params.delta == 0.0:
+            raise SteadyStateSolverError("forced failure")
+        return solve(params, *cutoffs)
+
+    monkeypatch.setattr(sweep, "solve_steady", failing_at_resonance)
+    spec = SweepSpec(
+        base=reference_baseline(),
+        axes=(value_axis("delta", [-40.0, 0.0, 40.0]),),
+        outputs=("g2_analytic", "g2_ccw", "c2_abs2"),
+        cutoffs=(2, 2),
+        tie_delta_a=True,
+    )
+    assert spec.engine == "both"
+    table = run_sweep(spec)
+    assert list(table.column("error")) == [0.0, ERROR_CODES["solver_failure"], 0.0]
+    assert np.isnan(table.rows[1][1:4]).all()
+    assert not np.isnan(np.array(table.rows[0] + table.rows[2])).any()

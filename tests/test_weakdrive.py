@@ -13,6 +13,7 @@ from bicavity import (
     reference_baseline,
     solve_weak_drive,
 )
+from bicavity.weakdrive import g2_driven
 
 # frozen reference values for the baseline point (kappa=40, g=20, eps=1, gamma_a=1)
 G2_BASE_J0 = 0.46970546250487405
@@ -146,6 +147,13 @@ def test_g2_undefined_without_drive():
         amps.g2_ccw
 
 
+def test_g2_undefined_when_one_photon_term_underflows():
+    # |c_100m|^4 underflows to 0 below |c_100m| = 1.5e-81: g2 is undefined, not inf or nan.
+    assert np.isnan(g2_driven(np.array([1e-100]), np.array([1e-3]))).all()
+    with pytest.raises(UndefinedCorrelationError):
+        solve_weak_drive(reference_baseline(drive=1e-90)).g2_ccw
+
+
 def test_asymptotic_ratios():
     r1, r2, ratio = g2_ratio_asymptotic(SystemParams(kappa=40.0, j_coupling=80.0, gamma_a=1.0))
     assert r1 == pytest.approx(40.0**2 / (4 * 80.0**2))
@@ -176,6 +184,14 @@ def test_lossless_singularity():
     p = SystemParams(kappa=1e-12, g_a=0.0, g_b=0.0, drive=1.0, gamma_a=1e-12)
     with pytest.raises((AnalyticSingularityError, ValueError)):
         solve_weak_drive(p.replace(kappa=0.0))
+
+
+def test_nan_solution_is_singularity():
+    # A subnormal J with a decoupled emitter at delta_a = 0: LAPACK finds no
+    # zero pivot but returns nan amplitudes, whose nan residual must not pass.
+    p = SystemParams(kappa=1.0, j_coupling=2.225073858507e-311, drive=0.01)
+    with pytest.raises(AnalyticSingularityError):
+        solve_weak_drive(p)
 
 
 def test_hierarchy_warning_on_strong_drive():
