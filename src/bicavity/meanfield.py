@@ -5,7 +5,9 @@ means follow from the fixed point of the driven two-mode equations, and the
 outputs from input-output theory,
     <a_out> = i*eps/sqrt(kappa) + sqrt(kappa) <a>,   <b_out> = sqrt(kappa) <b>.
 Spectra are evaluated with kappa as the base unit (kappa = 1 internally), so
-the normalized transmission tends to 1 far off resonance.
+the normalized transmission tends to 1 far off resonance.  The means are one
+elementwise formula (field_means); spectrum() and sweeps both evaluate it over
+whole arrays through normalized_spectrum.
 """
 
 from __future__ import annotations
@@ -15,15 +17,27 @@ from dataclasses import dataclass
 import numpy as np
 
 from .params import SystemParams
+from .weakdrive import abs2
+
+
+def field_means(delta, j_coupling, kappa, drive):
+    """Steady intracavity means (<a>, <b>) of the g = 0 reduction, elementwise
+    over numbers or arrays that broadcast together."""
+    denom = (1j * delta + 0.5 * kappa) ** 2 + j_coupling**2
+    return drive * (delta - 0.5j * kappa) / denom, -drive * j_coupling / denom
 
 
 def mean_fields(params: SystemParams) -> tuple[complex, complex]:
-    """Steady intracavity means (<a>, <b>) of the g = 0 reduction."""
-    d, j, kappa, eps = params.delta, params.j_coupling, params.kappa, params.drive
-    denom = (1j * d + 0.5 * kappa) ** 2 + j**2
-    a_mean = eps * (d - 0.5j * kappa) / denom
-    b_mean = -eps * j / denom
+    """Steady intracavity means (<a>, <b>) of the g = 0 reduction at one point."""
+    a_mean, b_mean = field_means(params.delta, params.j_coupling, params.kappa, params.drive)
     return complex(a_mean), complex(b_mean)
+
+
+def normalized_spectrum(delta, j_coupling, kappa):
+    """(p_t, p_r, a_mean, b_mean) elementwise over arrays of delta, J and kappa,
+    each point rescaled to kappa = 1 and unit drive (see SpectrumPoint)."""
+    a_mean, b_mean = field_means(delta / kappa, j_coupling / kappa, 1.0, 1.0)
+    return abs2(1j + a_mean), abs2(b_mean), a_mean, b_mean
 
 
 @dataclass(frozen=True)
@@ -50,21 +64,15 @@ def spectrum(params: SystemParams, delta_grid) -> list[SpectrumPoint]:
     grid = np.atleast_1d(np.asarray(delta_grid, dtype=float))
     if grid.size == 0:
         raise ValueError("delta_grid must contain at least one point")
-    kappa = params.kappa
-    scaled = SystemParams(kappa=1.0, j_coupling=params.j_coupling / kappa, drive=1.0)
-    points = []
-    for d in grid:
-        a_mean, b_mean = mean_fields(scaled.replace(delta=float(d) / kappa))
-        points.append(
-            SpectrumPoint(
-                delta=float(d),
-                p_t=float(abs(1j + a_mean) ** 2),
-                p_r=float(abs(b_mean) ** 2),
-                a_mean=a_mean,
-                b_mean=b_mean,
-            )
-        )
-    return points
+    if not np.isfinite(grid).all():
+        raise ValueError("delta_grid must be finite")
+    columns = normalized_spectrum(
+        grid, np.full_like(grid, params.j_coupling), np.full_like(grid, params.kappa)
+    )
+    return [
+        SpectrumPoint(float(d), float(p_t), float(p_r), complex(a_mean), complex(b_mean))
+        for d, p_t, p_r, a_mean, b_mean in zip(grid, *columns)
+    ]
 
 
 @dataclass(frozen=True)

@@ -7,15 +7,17 @@ so 2-D scans always stay rectangular.
 
 The grid is built once as an array of parameter rows.  Engines run in the
 order of _OUTPUTS, each on the rows that have not failed yet.  The weak-drive
-system is solved as stacked chunks of rows in the calling thread.  The master
-equation and the mean field are solved point by point; threads > 1 spreads
-those points over a thread pool, in the same row order.  Two threads measured
-0.99x the one-thread speed on the master equation; the pool stays because the
-benchmark in perfbench/ passes threads=.
+system is solved as stacked chunks of rows, and the mean-field spectrum is one
+array formula over all rows, both in the calling thread.  Only the master
+equation is solved point by point; threads > 1 spreads its points over a
+thread pool, in the same row order.  Two threads measured 0.99x the
+one-thread speed; the pool stays because the benchmark in perfbench/ passes
+threads=.
 
 Axis names are SystemParams fields plus two aliases:
   * "g"      sets g_a and g_b together,
   * "delta"  also sets delta_a when the sweep ties the emitter to the cavity.
+Two axes may not set the same field, and an output is requested at most once.
 """
 
 from __future__ import annotations
@@ -38,7 +40,7 @@ from .errors import (
     UndefinedCorrelationError,
 )
 from .dynamics import FIELDS, theta
-from .meanfield import spectrum
+from .meanfield import normalized_spectrum
 from .params import SystemParams, reference_baseline
 from .steadystate import g2_zero, mean_photon, solve_steady
 from .weakdrive import (
@@ -50,15 +52,17 @@ from .weakdrive import (
     solve_weak_drive_rows,
 )
 # Not called here; kept as attributes that perfbench/tracer.py SITES patches.
+from .meanfield import spectrum  # noqa: F401
 from .weakdrive import c_amplitudes_closed_form, g2_closed_form, solve_weak_drive  # noqa: F401
 
 # Output -> (engine, reader of that engine's result), in evaluation order:
-# master equation (n before g2), weak drive, mean field.  Weak-drive readers take
-# the amplitudes of many rows, shape (n, 8) in AmplitudeSet order, and give nan
+# master equation (n before g2), weak drive, mean field.  Master-equation
+# readers take one point's density matrix.  Weak-drive readers take the
+# amplitudes of many rows, shape (n, 8) in AmplitudeSet order, and give nan
 # where the output is undefined; g2_driven is also what AmplitudeSet.g2_ccw
-# reads, so a row matches a single-point solve bit for bit.  The others read
-# one point's result.  The lambdas look names up at call time, so patched
-# module attributes apply.
+# reads, so a row matches a single-point solve bit for bit.  Mean-field
+# readers take the columns of normalized_spectrum, as spectrum() does.  The
+# lambdas look names up at call time, so patched module attributes apply.
 _OUTPUTS = {
     "n_ccw": ("master_equation", lambda rho: mean_photon(rho, "ccw")),
     "n_cw": ("master_equation", lambda rho: mean_photon(rho, "cw")),
@@ -67,13 +71,8 @@ _OUTPUTS = {
     "g2_analytic": ("analytic", lambda c: g2_driven(c[:, 0], c[:, 3])),
     "c1_abs2": ("analytic", lambda c: abs2(c[:, 0])),
     "c2_abs2": ("analytic", lambda c: abs2(c[:, 3])),
-    "p_t": ("mean_field", lambda point: point.p_t),
-    "p_r": ("mean_field", lambda point: point.p_r),
-}
-# Point-by-point engine -> its solve at one point.
-_SOLVERS = {
-    "master_equation": lambda spec, params: solve_steady(params, *spec.cutoffs),
-    "mean_field": lambda spec, params: spectrum(params, [params.delta])[0],
+    "p_t": ("mean_field", lambda columns: columns[0]),
+    "p_r": ("mean_field", lambda columns: columns[1]),
 }
 ALL_OUTPUTS = tuple(_OUTPUTS)
 MASTER_OUTPUTS = tuple(o for o, (engine, _) in _OUTPUTS.items() if engine == "master_equation")
@@ -97,6 +96,9 @@ _ERROR_OF = (
 # Rows per stacked weak-drive solve.  A chunk's work arrays take a few MB; one
 # stack of a whole 201 x 201 scan would take about 50 MB.
 _CHUNK = 1024
+
+# The theta columns normalized_spectrum reads: delta, J, kappa.
+_MEAN_FIELD_COLUMNS = [FIELDS.index(name) for name in ("delta", "j_coupling", "kappa")]
 
 _AXIS_NAMES = FIELDS + ("g",)
 
@@ -147,9 +149,20 @@ class SweepSpec:
             raise ValueError("at least one output is required")
         if min(self.cutoffs) < 1:
             raise InvalidTruncationError(f"photon cutoffs must be >= 1, got {self.cutoffs}")
-        for out in self.outputs:
+        for k, out in enumerate(self.outputs):
             if out not in ALL_OUTPUTS:
                 raise ValueError(f"unknown output {out!r}; expected one of {ALL_OUTPUTS}")
+            if out in self.outputs[:k]:
+                raise ValueError(f"output {out!r} is requested twice")
+        if len(self.axes) == 2:
+            first, second = (set(_axis_fields(self, axis.name)) for axis in self.axes)
+            if first & second:
+                raise ValueError(
+                    f"axes {self.axes[0].name!r} and {self.axes[1].name!r} both set "
+                    f"{', '.join(sorted(first & second))}"
+                )
+        if "\n" in self.label or "\r" in self.label:
+            raise ValueError(f"label must be one line, got {self.label!r}")
 
     @property
     def engine(self) -> str:
@@ -216,23 +229,21 @@ def _error_code(exc: BicavityError) -> int:
     return ERROR_CODES["invalid_point"]
 
 
-def _point_rows(spec: SweepSpec, engine: str, readers, thetas: np.ndarray, threads: int):
-    """Solve one engine point by point and read its outputs.
+def _master_rows(spec: SweepSpec, readers, thetas: np.ndarray, threads: int):
+    """Solve the master equation point by point and read its outputs.
 
-    Returns (values (n, outputs), codes (n,), master-equation residuals); on
-    failure a point keeps the outputs read so far and nan for the rest.
+    Returns (values (n, outputs), codes (n,), residuals); on failure a point
+    keeps the outputs read so far and nan for the rest.
     """
 
     def work(row):
-        params = SystemParams(*row.tolist())
         out = [math.nan] * len(readers)
         residual = math.nan
         try:
-            result = _SOLVERS[engine](spec, params)
-            if engine == "master_equation":
-                residual = result.residual
+            rho = solve_steady(SystemParams(*row.tolist()), *spec.cutoffs)
+            residual = rho.residual
             for k, read in enumerate(readers):
-                out[k] = read(result)
+                out[k] = read(rho)
         except BicavityError as exc:
             return out, _error_code(exc), residual
         return out, ERROR_CODES["ok"], residual
@@ -248,34 +259,14 @@ def _point_rows(spec: SweepSpec, engine: str, readers, thetas: np.ndarray, threa
     return values, codes, residuals
 
 
-def _solve_chunk(thetas: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Amplitudes (n, 8) and row codes of one stacked weak-drive solve.
-
-    A row whose residual is not within RESIDUAL_TOL (nan included) is an
-    analytic singularity.  A singular system fails the whole stack, so then
-    each row is solved on its own, and a singular row is a singularity too.
-    """
-    try:
-        c, residual = solve_weak_drive_rows(thetas)
-    except np.linalg.LinAlgError:
-        if len(thetas) == 1:
-            return np.full((1, 8), np.nan, dtype=complex), np.array(
-                [ERROR_CODES["analytic_singularity"]]
-            )
-        rows = [_solve_chunk(thetas[i:i + 1]) for i in range(len(thetas))]
-        return np.concatenate([c for c, _ in rows]), np.concatenate([codes for _, codes in rows])
-    return c, np.where(
-        residual <= RESIDUAL_TOL, ERROR_CODES["ok"], ERROR_CODES["analytic_singularity"]
-    )
-
-
 def _analytic_rows(readers, thetas: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The weak-drive outputs and codes of every row, from stacked solves in this thread.
 
-    Rows outside the domain are invalid points, _solve_chunk codes the solves,
-    and a nan output marks an undefined correlation; each failed row keeps nan
-    in every weak-drive output.  At most one warning reports the rows whose
-    amplitudes break the weak-drive hierarchy.
+    Rows outside the domain are invalid points, a row whose residual is not
+    within RESIDUAL_TOL (nan for a singular system) is an analytic
+    singularity, and a nan output marks an undefined correlation; each failed
+    row keeps nan in every weak-drive output.  At most one warning reports
+    the rows whose amplitudes break the weak-drive hierarchy.
     """
     values = np.full((len(thetas), len(readers)), np.nan)
     codes = np.where(in_domain(thetas), ERROR_CODES["ok"], ERROR_CODES["invalid_point"])
@@ -283,8 +274,9 @@ def _analytic_rows(readers, thetas: np.ndarray) -> tuple[np.ndarray, np.ndarray]
     violated = 0
     for start in range(0, solvable.size, _CHUNK):
         rows = solvable[start:start + _CHUNK]
-        c, codes[rows] = _solve_chunk(thetas[rows])
-        ok = codes[rows] == ERROR_CODES["ok"]
+        c, residual = solve_weak_drive_rows(thetas[rows])
+        ok = residual <= RESIDUAL_TOL
+        codes[rows[~ok]] = ERROR_CODES["analytic_singularity"]
         violated += int(np.count_nonzero(hierarchy_violated(c[ok])))
         values[rows[ok]] = np.column_stack([read(c[ok]) for read in readers])
     undefined = (codes == ERROR_CODES["ok"]) & np.isnan(values).any(axis=1)
@@ -312,13 +304,18 @@ def run_sweep(spec: SweepSpec, threads: int = 1) -> ResultTable:
     for engine, names in plan.items():
         live = np.flatnonzero(codes == ERROR_CODES["ok"])
         readers = [_OUTPUTS[name][1] for name in names]
-        if engine == "analytic":
+        if engine == "master_equation":
+            engine_values, codes[live], residuals = _master_rows(
+                spec, readers, thetas[live], threads
+            )
+        elif engine == "analytic":
             engine_values, codes[live] = _analytic_rows(readers, thetas[live])
         else:
-            engine_values, codes[live], engine_residuals = _point_rows(
-                spec, engine, readers, thetas[live], threads
-            )
-            residuals += engine_residuals
+            with np.errstate(all="ignore"):  # delta / kappa or J / kappa may overflow
+                columns = normalized_spectrum(*thetas[live][:, _MEAN_FIELD_COLUMNS].T)
+            engine_values = np.column_stack([read(columns) for read in readers])
+            unfit = ~np.isfinite(engine_values).all(axis=1)
+            codes[live[unfit]], engine_values[unfit] = ERROR_CODES["invalid_point"], np.nan
         values[np.ix_(live, [spec.outputs.index(name) for name in names])] = engine_values
 
     failed = int(np.count_nonzero(codes))

@@ -7,7 +7,9 @@ table's non-Hermitian Hamiltonian projected onto these kets, keeping an entry
 only where the row ket has at least as many excitations as the column ket (an
 n-excitation amplitude is O(drive^n)).  It holds for any g_a, g_b.
 solve_weak_drive_rows solves it for a stack of parameter rows at once; sweeps
-call it on chunks of their grid, and solve_weak_drive is its one-row case.
+call it on chunks of their grid, and solve_weak_drive is its one-row case.  A
+singular row gets nan amplitudes and a nan residual, and both callers take a
+residual that is not within RESIDUAL_TOL as an analytic singularity.
 The paper's closed forms for g_a = g_b, written in
 dp = delta - i*kappa/2 and dd = delta_a - i*gamma_a/2, are kept as the
 reference the system is checked against.  Pure dephasing is outside this
@@ -16,6 +18,7 @@ treatment (gamma_p = 0).
 
 from __future__ import annotations
 
+import contextlib
 import warnings
 from dataclasses import dataclass
 from functools import lru_cache
@@ -119,7 +122,7 @@ def _check_domain(params: SystemParams, common_coupling: bool = False) -> None:
     """Reject points outside the weak-drive analysis (and the closed forms)."""
     if common_coupling and params.g_a != params.g_b:
         raise WeakDriveDomainError("closed forms assume a common coupling g_a == g_b")
-    if params.gamma_p != 0:
+    if not in_domain(theta(params)[None])[0]:
         raise WeakDriveDomainError(
             "the weak-drive analysis neglects pure dephasing; gamma_p must be 0"
         )
@@ -129,9 +132,10 @@ def solve_weak_drive_rows(thetas: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Solve the 8x8 system at every parameter row, shape (n, len(FIELDS)).
 
     Returns the amplitudes, shape (n, 8) in AmplitudeSet order, and each row's
-    relative residual max|m c - rhs| / (max|m| max|c|).  Raises LinAlgError if
-    any row's system is singular; the domain and the residual are left to the
-    caller.
+    relative residual max|m c - rhs| / (max|m| max|c|).  A singular system
+    fails the stacked solve, so then each row is solved on its own, and a
+    singular row gets nan amplitudes and a nan residual.  The domain and the
+    residual are left to the caller.
     """
     h = np.zeros((len(thetas), 2 * len(_KETS) ** 2))
     for k, positions, values in _hamiltonian_terms():
@@ -139,7 +143,13 @@ def solve_weak_drive_rows(thetas: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     h = h.view(complex).reshape(-1, len(_KETS), len(_KETS))
     # H_nh c = 0 on the ansatz kets; c_000m = 1 moves to the right-hand side.
     m, rhs = h[:, 1:, 1:], -h[:, 1:, :1]
-    c = np.linalg.solve(m, rhs)
+    try:
+        c = np.linalg.solve(m, rhs)
+    except np.linalg.LinAlgError:
+        c = np.full(rhs.shape, np.nan, dtype=complex)
+        for i in range(len(m)):
+            with contextlib.suppress(np.linalg.LinAlgError):
+                c[i:i + 1] = np.linalg.solve(m[i:i + 1], rhs[i:i + 1])
     scale = np.maximum(np.abs(m).max(axis=(1, 2)) * np.abs(c).max(axis=(1, 2)), 1e-300)
     residual = np.abs(m @ c - rhs).max(axis=(1, 2)) / scale
     return c[..., 0], residual
@@ -154,13 +164,8 @@ def hierarchy_violated(c: np.ndarray) -> np.ndarray:
 def solve_weak_drive(params: SystemParams) -> AmplitudeSet:
     """Solve the 8x8 weak-drive linear system (supports g_a != g_b)."""
     _check_domain(params)
-    try:
-        c, residual = solve_weak_drive_rows(theta(params)[None])
-    except np.linalg.LinAlgError as exc:
-        raise AnalyticSingularityError(
-            f"weak-drive system singular at {params}"
-        ) from exc
-    if not residual[0] <= RESIDUAL_TOL:  # a nan residual fails too
+    c, residual = solve_weak_drive_rows(theta(params)[None])
+    if not residual[0] <= RESIDUAL_TOL:  # a singular system's nan residual fails too
         raise AnalyticSingularityError(
             f"weak-drive solve residual {residual[0]:.3e} above {RESIDUAL_TOL:.0e} "
             f"at {params}"

@@ -119,6 +119,21 @@ def test_unknown_config_key_is_reported(tmp_path, capsys, typo, named):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("line, named", [
+    ("label = first\n  second\n", "label must be one line"),
+    ("outputs = g2_analytic, g2_analytic\n", "'g2_analytic' is requested twice"),
+], ids=["multiline-label", "repeated-output"])
+def test_rejected_sweep_setting_is_reported(tmp_path, capsys, line, named):
+    cfg = tmp_path / "bad.ini"
+    cfg.write_text(ONE_POINT_INI.replace("outputs = g2_analytic\n", line))
+    out = tmp_path / "x.csv"
+    assert main(["sweep", str(cfg), "--out", str(out)]) == 1
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "ValueError"
+    assert named in err["message"]
+    assert not out.exists()
+
+
 def test_legacy_engine_key_is_ignored(tmp_path):
     cfg = tmp_path / "legacy.ini"
     cfg.write_text(ONE_POINT_INI + "engine = master_equation\n")

@@ -18,6 +18,7 @@ from bicavity import (
     read_csv,
     run_sweep,
     solve_weak_drive,
+    spectrum,
     value_axis,
 )
 from bicavity.weakdrive import abs2, solve_weak_drive_rows
@@ -52,6 +53,32 @@ def test_spec_validation():
         small_spec(axes=())
     with pytest.raises(ValueError):
         small_spec(cutoffs=(0, 2))
+
+
+def test_repeated_output_rejected():
+    with pytest.raises(ValueError, match="output 'g2_analytic' is requested twice"):
+        small_spec(outputs=("g2_analytic", "c1_abs2", "g2_analytic"))
+
+
+@pytest.mark.parametrize(
+    "first, second, tie, shared",
+    [
+        ("delta", "delta", False, "delta"),
+        ("g", "g_a", False, "g_a"),
+        ("g_b", "g", False, "g_b"),
+        ("delta", "delta_a", True, "delta_a"),
+    ],
+)
+def test_axes_setting_one_field_rejected(first, second, tie, shared):
+    axes = (value_axis(first, [0.0, 40.0]), value_axis(second, [-40.0]))
+    with pytest.raises(ValueError, match=f"^axes '{first}' and '{second}' both set {shared}$"):
+        small_spec(axes=axes, tie_delta_a=tie)
+
+
+@pytest.mark.parametrize("label", ["a\nb", "a\rb"])
+def test_multiline_label_rejected(label):
+    with pytest.raises(ValueError, match="label must be one line"):
+        small_spec(label=label)
 
 
 def test_run_sweep_basic():
@@ -131,10 +158,10 @@ def test_weak_drive_domain_is_invalid_point():
 
 
 def test_programming_errors_propagate(monkeypatch):
-    def broken(params, grid):
+    def broken(delta, j_coupling, kappa):
         raise ValueError("bug")
 
-    monkeypatch.setattr(sweep, "spectrum", broken)
+    monkeypatch.setattr(sweep, "normalized_spectrum", broken)
     spec = SweepSpec(
         base=reference_baseline(),
         axes=(value_axis("delta", [0.0, 1.0]),),
@@ -142,6 +169,20 @@ def test_programming_errors_propagate(monkeypatch):
     )
     with pytest.raises(ValueError, match="bug"):
         run_sweep(spec)
+
+
+def test_mean_field_overflow_is_invalid_point():
+    # delta / kappa overflows at the second point
+    spec = SweepSpec(
+        base=SystemParams(kappa=1e-10, j_coupling=1.0, drive=1.0),
+        axes=(value_axis("delta", [0.0, 1e300]),),
+        outputs=("p_t", "p_r"),
+    )
+    table = run_sweep(spec)
+    assert list(table.column("error")) == [ERROR_CODES["ok"], ERROR_CODES["invalid_point"]]
+    assert np.isnan(table.rows[1][1:3]).all()
+    point = spectrum(spec.base, [0.0])[0]
+    assert table.rows[0][1:3] == [point.p_t, point.p_r]
 
 
 def test_weak_drive_solved_once_per_point(monkeypatch):

@@ -1,11 +1,12 @@
-"""Property checks of the affine operator table, the real-coordinate solver
-and the stacked weak-drive sweep.
+"""Property checks of the affine operator table, the real-coordinate solver,
+the stacked weak-drive sweep and the array mean-field sweep.
 
 The reference for the table is the direct construction: the Lindblad
 generator assembled from Kronecker products of the full operators, and its
 steady state from a dense complex solve with the trace condition in place of
 the first row.  The reference for an analytic sweep is a loop of
-solve_weak_drive calls, one per grid point.
+solve_weak_drive calls, one per grid point; for a mean-field sweep it is
+spectrum() and mean_fields at each point.
 """
 
 import itertools
@@ -15,7 +16,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from bicavity import (
@@ -31,11 +32,13 @@ from bicavity import (
     emitter_excitation_projector,
     emitter_lowering,
     liouvillian,
+    mean_fields,
     pauli_z,
     reference_baseline,
     run_sweep,
     solve_steady,
     solve_weak_drive,
+    spectrum,
     unvectorize,
     value_axis,
 )
@@ -166,13 +169,21 @@ def analytic_sweeps(draw):
     axes = []
     for name in draw(st.lists(st.sampled_from(sorted(values)), min_size=1, max_size=2)):
         axes.append(value_axis(name, draw(st.lists(values[name], min_size=1, max_size=7))))
-    spec = SweepSpec(
-        base=base,
-        axes=tuple(axes),
-        outputs=tuple(draw(st.permutations(ANALYTIC))[:draw(st.integers(1, 3))]),
-        tie_delta_a=draw(st.booleans()),
-    )
+    outputs = tuple(draw(st.permutations(ANALYTIC))[:draw(st.integers(1, 3))])
+    tie_delta_a = draw(st.booleans())
+    assume(not axes_overlap(axes, tie_delta_a))
+    spec = SweepSpec(base=base, axes=tuple(axes), outputs=outputs, tie_delta_a=tie_delta_a)
     return spec, draw(st.sampled_from([1, 2, 3, 1024]))
+
+
+def axes_overlap(axes, tie_delta_a):
+    """Whether two axes set one parameter, which SweepSpec rejects."""
+    fields = [
+        {"g": {"g_a", "g_b"}, "delta": {"delta", "delta_a"} if tie_delta_a else {"delta"}}
+        .get(axis.name, {axis.name})
+        for axis in axes
+    ]
+    return len(fields) == 2 and bool(fields[0] & fields[1])
 
 
 def point_by_point(spec):
@@ -234,6 +245,53 @@ def test_analytic_sweep_matches_point_by_point(drawn):
         assert row[-1] == code
         for got, want in zip(row[width:-1], values, strict=True):
             assert (math.isnan(got) and math.isnan(want)) or math.isclose(got, want, rel_tol=1e-12)
+
+
+@st.composite
+def mean_field_sweeps(draw):
+    """1-D and 2-D mean-field sweeps over kappa, J and delta."""
+    values = {
+        "kappa": st.floats(0.5, 100.0),
+        "j_coupling": st.one_of(st.just(0.0), st.floats(0.0, 1e4)),
+        "delta": st.floats(-1e4, 1e4),
+    }
+    names = draw(st.lists(st.sampled_from(sorted(values)), min_size=1, max_size=2, unique=True))
+    return SweepSpec(
+        base=SystemParams(
+            kappa=draw(values["kappa"]),
+            delta=draw(values["delta"]),
+            j_coupling=draw(values["j_coupling"]),
+            g_a=20.0,
+            drive=draw(st.sampled_from([1.0, 0.0, 3.0])),
+            gamma_a=1.0,
+        ),
+        axes=tuple(
+            value_axis(name, draw(st.lists(values[name], min_size=1, max_size=7)))
+            for name in names
+        ),
+        outputs=draw(st.permutations(("p_t", "p_r")))[:draw(st.integers(1, 2))],
+        tie_delta_a=draw(st.booleans()),
+    )
+
+
+@settings(PROPERTY_SETTINGS, max_examples=100)
+@given(mean_field_sweeps())
+def test_mean_field_sweep_matches_spectrum(spec):
+    table = run_sweep(spec)
+    width = len(spec.axes)
+    points = itertools.product(*(axis.values for axis in spec.axes))
+    for row, point in zip(table.rows, points, strict=True):
+        p = spec.base.replace(**{axis.name: v for axis, v in zip(spec.axes, point)})
+        expected = spectrum(p, [p.delta])[0]
+        a_mean, b_mean = mean_fields(
+            SystemParams(kappa=1.0, delta=p.delta / p.kappa, j_coupling=p.j_coupling / p.kappa,
+                         drive=1.0)
+        )
+        powers = {"p_t": abs(1j + a_mean) ** 2, "p_r": abs(b_mean) ** 2}
+        assert row[-1] == ERROR_CODES["ok"]
+        for got, name in zip(row[width:-1], spec.outputs, strict=True):
+            assert got == getattr(expected, name)
+            assert math.isclose(got, powers[name], rel_tol=1e-12)
 
 
 def test_singular_chunk_falls_back_to_point_solves():

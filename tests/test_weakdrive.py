@@ -13,7 +13,8 @@ from bicavity import (
     reference_baseline,
     solve_weak_drive,
 )
-from bicavity.weakdrive import g2_driven
+from bicavity.dynamics import theta
+from bicavity.weakdrive import RESIDUAL_TOL, g2_driven, solve_weak_drive_rows
 
 # frozen reference values for the baseline point (kappa=40, g=20, eps=1, gamma_a=1)
 G2_BASE_J0 = 0.46970546250487405
@@ -192,6 +193,20 @@ def test_nan_solution_is_singularity():
     p = SystemParams(kappa=1.0, j_coupling=2.225073858507e-311, drive=0.01)
     with pytest.raises(AnalyticSingularityError):
         solve_weak_drive(p)
+
+
+def test_singular_row_is_nan_and_the_others_keep_their_solve():
+    # With g = 0 and gamma_a = 0 the emitter ket decouples: delta_a = 0 is singular.
+    rng = np.random.default_rng(11)
+    params = [random_params(rng) for _ in range(4)]
+    params.insert(2, SystemParams(kappa=40.0, drive=1.0))
+    thetas = np.array([theta(p) for p in params])
+    c, residual = solve_weak_drive_rows(thetas)
+    assert np.isnan(c[2]).all() and np.isnan(residual[2])
+    for k in (0, 1, 3, 4):
+        c_k, residual_k = solve_weak_drive_rows(thetas[k:k + 1])
+        assert np.array_equal(c[k], c_k[0]) and residual[k] == residual_k[0]
+        assert residual[k] <= RESIDUAL_TOL
 
 
 def test_hierarchy_warning_on_strong_drive():
