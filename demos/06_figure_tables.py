@@ -29,7 +29,7 @@ def main() -> None:
     for name in args.only or FIGURE_NAMES:
         spec = figure_preset(name)
         if args.cutoff:
-            spec = dataclasses.replace(spec, cutoffs=(args.cutoff, args.cutoff))
+            spec = dataclasses.replace(spec, cutoff=args.cutoff)
         t0 = time.perf_counter()
         table = run_sweep(spec, threads=args.threads)
         path = out_dir / f"{name}.csv"

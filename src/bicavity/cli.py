@@ -56,7 +56,7 @@ def build_parser() -> argparse.ArgumentParser:
     sw = sub.add_parser("sweep", help="run a sweep described by an INI config file")
     sw.add_argument("config", help="config file; see README for the format")
     sw.add_argument("--out", default="sweep.csv")
-    sw.add_argument("--cutoff", type=int, default=None, help="override both photon cutoffs")
+    sw.add_argument("--cutoff", type=int, default=None, help="photon cutoff of both modes")
     sw.add_argument("--threads", type=int, default=1)
     sw.add_argument("--log10", action="store_true", help="append log10 columns for g2 outputs")
 
@@ -110,6 +110,8 @@ def _parse_config(path) -> SweepSpec:
     axes: list[Axis] = []
     for sec in (cfg[name] for name in ("axis1", "axis2") if name in cfg):
         if "values" in sec:
+            if {"min", "max", "count"} & set(sec):
+                raise ValueError(f"config section [{sec.name}] gives both values and min/max/count")
             axes.append(value_axis(sec["name"], [float(v) for v in sec["values"].split(",")]))
         else:
             axes.append(
@@ -117,12 +119,11 @@ def _parse_config(path) -> SweepSpec:
             )
 
     sweep_sec = cfg["sweep"]
-    cutoff = sweep_sec.getint("cutoff", 4)
     return SweepSpec(
         base=SystemParams(**{k: float(v) for k, v in cfg["base"].items()}),
         axes=tuple(axes),
         outputs=tuple(s.strip() for s in sweep_sec.get("outputs", "g2_ccw").split(",")),
-        cutoffs=(cutoff, cutoff),
+        cutoff=sweep_sec.getint("cutoff", 4),
         tie_delta_a=sweep_sec.getboolean("tie_delta_a", False),
         label=sweep_sec.get("label", "custom"),
     )
@@ -130,7 +131,7 @@ def _parse_config(path) -> SweepSpec:
 
 def _finish_sweep(spec: SweepSpec, args, out_path) -> int:
     if args.cutoff is not None:
-        spec = dataclasses.replace(spec, cutoffs=(args.cutoff, args.cutoff))
+        spec = dataclasses.replace(spec, cutoff=args.cutoff)
     table = run_sweep(spec, threads=args.threads)
     if getattr(args, "log10", False):
         g2_cols = [c for c in table.columns if c.startswith("g2")]

@@ -58,13 +58,6 @@ class FockSpace:
         """All basis labels in flat-index order."""
         return [self.label(k) for k in range(self.dim)]
 
-    def to_dict(self) -> dict:
-        return {"n_a_max": self.n_a_max, "n_b_max": self.n_b_max}
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "FockSpace":
-        return cls(int(d["n_a_max"]), int(d["n_b_max"]))
-
 
 def build_space(n_a_max: int, n_b_max: int) -> FockSpace:
     """Construct the truncated composite space; cutoffs must be >= 1."""

@@ -6,7 +6,9 @@ the point's parameters and scattered into a dense real dim^2 x dim^2 matrix,
 one row is replaced by the trace constraint, and a real LU solves it.  The
 residual max |L[rho]| is then checked by a sparse product with the same table
 entries, with a least-squares fallback, and rho must be positive
-semi-definite.  The observables read photon numbers cached in the same table.
+semi-definite; a nan residual or eigenvalue fails these checks.  The
+observables read photon numbers cached in the same table, and g2_zero needs a
+mean photon number above UNDERFLOW_GUARD.
 """
 
 from __future__ import annotations
@@ -33,6 +35,7 @@ from .params import SystemParams
 
 RESIDUAL_TOL = 1e-10
 PSD_TOL = 1e-8
+UNDERFLOW_GUARD = 1e-30  # g2_zero's least mean photon number
 TRUNCATION_TOL = 1e-4
 
 
@@ -49,8 +52,9 @@ def steady_state(lv: Superoperator) -> DensityMatrix:
     """Solve L[rho] = 0 with Tr(rho) = 1.
 
     Raises DegenerateSteadyStateError if the kernel is not one-dimensional and
-    SteadyStateSolverError if the residual cannot be brought below tolerance,
-    LAPACK fails in the fallback or the PSD check, or rho is not PSD.
+    SteadyStateSolverError if the residual cannot be brought within tolerance,
+    LAPACK fails in the fallback or the PSD check, or rho is not PSD.  A nan
+    residual or least eigenvalue counts as a failed check.
     """
     dim = lv.space.dim
     table = operator_table(lv.space)
@@ -73,7 +77,7 @@ def steady_state(lv: Superoperator) -> DensityMatrix:
         ) from exc
 
     rho, residual = _state(table, values, x, trace)
-    if residual > RESIDUAL_TOL:
+    if not residual <= RESIDUAL_TOL:  # a nan residual fails too
         # Least-squares on the stacked [L; trace] system as a fallback.
         system[0] = first
         target = np.zeros(dim * dim + 1)
@@ -83,7 +87,7 @@ def steady_state(lv: Superoperator) -> DensityMatrix:
         except np.linalg.LinAlgError as exc:
             raise SteadyStateSolverError(f"least-squares fallback failed: {exc}", residual) from exc
         rho, residual = _state(table, values, x, trace)
-        if residual > RESIDUAL_TOL:
+        if not residual <= RESIDUAL_TOL:
             raise SteadyStateSolverError(
                 f"steady-state residual {residual:.3e} above {RESIDUAL_TOL:.0e}",
                 residual=residual,
@@ -93,7 +97,7 @@ def steady_state(lv: Superoperator) -> DensityMatrix:
         min_eig = float(np.linalg.eigvalsh(rho).min())
     except np.linalg.LinAlgError as exc:
         raise SteadyStateSolverError(f"PSD check failed: {exc}", residual) from exc
-    if min_eig < -PSD_TOL:
+    if not min_eig >= -PSD_TOL:
         raise SteadyStateSolverError(
             f"steady state not positive semi-definite (min eigenvalue {min_eig:.3e})",
             residual=residual,
@@ -121,15 +125,15 @@ def mean_photon(rho: DensityMatrix, mode: str) -> float:
     return float(rho.matrix.diagonal().real @ _number(rho, mode))
 
 
-def g2_zero(rho: DensityMatrix, mode: str, underflow_guard: float = 1e-30) -> float:
+def g2_zero(rho: DensityMatrix, mode: str) -> float:
     """Equal-time second-order correlation Tr(rho a'a'aa) / Tr(rho a'a)^2."""
     number = _number(rho, mode)
     populations = rho.matrix.diagonal().real
     n = populations @ number
-    if n <= underflow_guard:
+    if n <= UNDERFLOW_GUARD:
         raise UndefinedCorrelationError(
             f"mean photon number {n:.3e} below underflow guard "
-            f"{underflow_guard:.0e}; g2(0) is undefined"
+            f"{UNDERFLOW_GUARD:.0e}; g2(0) is undefined"
         )
     # a'a'aa = a'a (a'a - 1) is diagonal too.
     two = populations @ (number * (number - 1.0))

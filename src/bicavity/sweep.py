@@ -138,7 +138,7 @@ class SweepSpec:
     base: SystemParams
     axes: tuple[Axis, ...]
     outputs: tuple[str, ...]
-    cutoffs: tuple[int, int] = (4, 4)
+    cutoff: int = 4
     tie_delta_a: bool = False
     label: str = ""
 
@@ -147,8 +147,8 @@ class SweepSpec:
             raise ValueError("a sweep has one or two axes")
         if not self.outputs:
             raise ValueError("at least one output is required")
-        if min(self.cutoffs) < 1:
-            raise InvalidTruncationError(f"photon cutoffs must be >= 1, got {self.cutoffs}")
+        if self.cutoff < 1:
+            raise InvalidTruncationError(f"photon cutoff must be >= 1, got {self.cutoff}")
         for k, out in enumerate(self.outputs):
             if out not in ALL_OUTPUTS:
                 raise ValueError(f"unknown output {out!r}; expected one of {ALL_OUTPUTS}")
@@ -240,7 +240,7 @@ def _master_rows(spec: SweepSpec, readers, thetas: np.ndarray, threads: int):
         out = [math.nan] * len(readers)
         residual = math.nan
         try:
-            rho = solve_steady(SystemParams(*row.tolist()), *spec.cutoffs)
+            rho = solve_steady(SystemParams(*row.tolist()), spec.cutoff, spec.cutoff)
             residual = rho.residual
             for k, read in enumerate(readers):
                 out[k] = read(rho)
@@ -333,21 +333,19 @@ def _metadata(spec: SweepSpec, total: int, failed: int, residuals) -> dict[str, 
         "version": __version__,
         "label": spec.label or "custom",
         "engine": spec.engine,
-        "cutoff_n_a": str(spec.cutoffs[0]),
-        "cutoff_n_b": str(spec.cutoffs[1]),
+        "cutoff_n_a": str(spec.cutoff),
+        "cutoff_n_b": str(spec.cutoff),
         "tie_delta_a": str(spec.tie_delta_a).lower(),
         "outputs": ",".join(spec.outputs),
     }
     for name in FIELDS:
         md[f"base.{name}"] = repr(getattr(spec.base, name))
     for k, axis in enumerate(spec.axes, start=1):
-        if len(axis.values) <= 16:
-            md[f"axis{k}"] = f"{axis.name}: " + ",".join(repr(v) for v in axis.values)
+        first, last, n = axis.values[0], axis.values[-1], len(axis.values)
+        if n > 16 and axis.values == tuple(np.linspace(first, last, n).tolist()):
+            md[f"axis{k}"] = f"{axis.name}: linspace({first!r}, {last!r}, {n})"
         else:
-            md[f"axis{k}"] = (
-                f"{axis.name}: linspace({axis.values[0]!r}, {axis.values[-1]!r}, "
-                f"{len(axis.values)})"
-            )
+            md[f"axis{k}"] = f"{axis.name}: " + ",".join(repr(v) for v in axis.values)
     md["points_total"] = str(total)
     md["points_failed"] = str(failed)
     md["max_residual"] = repr(max(residuals)) if residuals else "nan"

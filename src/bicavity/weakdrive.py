@@ -6,10 +6,12 @@ steady state is parametrised by eight amplitudes on top of the ground state
 table's non-Hermitian Hamiltonian projected onto these kets, keeping an entry
 only where the row ket has at least as many excitations as the column ket (an
 n-excitation amplitude is O(drive^n)).  It holds for any g_a, g_b.
-solve_weak_drive_rows solves it for a stack of parameter rows at once; sweeps
-call it on chunks of their grid, and solve_weak_drive is its one-row case.  A
-singular row gets nan amplitudes and a nan residual, and both callers take a
-residual that is not within RESIDUAL_TOL as an analytic singularity.
+solve_weak_drive_rows solves it for a stack of parameter rows at once, each
+row's matrix one einsum of its parameters with the cached per-field parts;
+sweeps call it on chunks of their grid, and solve_weak_drive is its one-row
+case.  A singular row gets nan amplitudes and a nan residual, and both
+callers take a residual that is not within RESIDUAL_TOL as an analytic
+singularity.
 The paper's closed forms for g_a = g_b, written in
 dp = delta - i*kappa/2 and dd = delta_a - i*gamma_a/2, are kept as the
 reference the system is checked against.  Pure dephasing is outside this
@@ -40,7 +42,7 @@ class AmplitudeSet:
     """The eight steady-state amplitudes of the two-excitation ansatz.
 
     Ordering of kets is |n_ccw, n_cw, emitter> with '-'/'+' for
-    ground/excited; c_000m is the reference amplitude, fixed to 1.
+    ground/excited; the ground amplitude c_000m is fixed to 1 and not stored.
     """
 
     c_100m: complex
@@ -52,7 +54,6 @@ class AmplitudeSet:
     c_100p: complex
     c_010p: complex
     residual: float
-    c_000m: complex = 1.0 + 0.0j
 
     @property
     def g2_ccw(self) -> float:
@@ -101,18 +102,6 @@ def _hamiltonian_parts() -> np.ndarray:
     return parts
 
 
-@lru_cache(maxsize=1)
-def _hamiltonian_terms() -> tuple[tuple[int, np.ndarray, np.ndarray], ...]:
-    """The nonzero entries of each field's part, as (field index, positions,
-    values) over the real view of the flattened parts.  Adding them field by
-    field sums in the same order as theta @ _hamiltonian_parts()."""
-    real = _hamiltonian_parts().view(float)
-    return tuple(
-        (k, np.flatnonzero(row), row[np.flatnonzero(row)])
-        for k, row in enumerate(real) if row.any()
-    )
-
-
 def in_domain(thetas: np.ndarray) -> np.ndarray:
     """Rows (theta order) inside the weak-drive analysis: no pure dephasing."""
     return thetas[:, FIELDS.index("gamma_p")] == 0
@@ -137,9 +126,9 @@ def solve_weak_drive_rows(thetas: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     singular row gets nan amplitudes and a nan residual.  The domain and the
     residual are left to the caller.
     """
-    h = np.zeros((len(thetas), 2 * len(_KETS) ** 2))
-    for k, positions, values in _hamiltonian_terms():
-        h[:, positions] += thetas[:, k, None] * values
+    # einsum sums over the fields in its own loop, not BLAS, so a row's
+    # matrix does not depend on the other rows of the stack.
+    h = np.einsum("nk,kp->np", thetas, _hamiltonian_parts().view(float))
     h = h.view(complex).reshape(-1, len(_KETS), len(_KETS))
     # H_nh c = 0 on the ansatz kets; c_000m = 1 moves to the right-hand side.
     m, rhs = h[:, 1:, 1:], -h[:, 1:, :1]

@@ -107,7 +107,8 @@ ONE_POINT_INI = (
 @pytest.mark.parametrize("typo, named", [
     ("cutof = 2\n", "cutof"),
     ("[swep]\ncutoff = 2\n", "swep"),
-], ids=["key", "section"])
+    ("[axis2]\nname = g_a\nvalues = 1\nmin = 0\n", "[axis2]"),
+], ids=["key", "section", "axis-values-and-min"])
 def test_unknown_config_key_is_reported(tmp_path, capsys, typo, named):
     cfg = tmp_path / "typo.ini"
     cfg.write_text(ONE_POINT_INI + typo)

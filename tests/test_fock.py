@@ -1,10 +1,7 @@
-import json
-
 import numpy as np
 import pytest
 
 from bicavity import (
-    FockSpace,
     InvalidTruncationError,
     annihilator,
     build_space,
@@ -45,13 +42,6 @@ def test_index_validation():
         space.index(0, 0, "up")
     with pytest.raises(IndexError):
         space.label(space.dim)
-
-
-def test_serialization_stable():
-    space = build_space(3, 4)
-    clone = FockSpace.from_dict(json.loads(json.dumps(space.to_dict())))
-    assert clone == space
-    assert clone.labels() == space.labels()
 
 
 def test_ladder_elements():

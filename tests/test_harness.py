@@ -30,7 +30,7 @@ def small_spec(**overrides):
         base=reference_baseline(),
         axes=(value_axis("delta", [-40.0, 0.0, 40.0]),),
         outputs=("g2_ccw",),
-        cutoffs=(2, 2),
+        cutoff=2,
         tie_delta_a=True,
     )
     kwargs.update(overrides)
@@ -52,7 +52,7 @@ def test_spec_validation():
     with pytest.raises(ValueError):
         small_spec(axes=())
     with pytest.raises(ValueError):
-        small_spec(cutoffs=(0, 2))
+        small_spec(cutoff=0)
 
 
 def test_repeated_output_rejected():
@@ -123,7 +123,7 @@ def test_failed_points_tagged_not_dropped():
         base=reference_baseline(),
         axes=(value_axis("drive", [0.0, 1.0]),),
         outputs=("g2_ccw",),
-        cutoffs=(2, 2),
+        cutoff=2,
     )
     table = run_sweep(spec)
     assert len(table.rows) == 2
@@ -256,7 +256,7 @@ def test_all_points_failing_raises():
         base=reference_baseline(drive=0.0),
         axes=(value_axis("delta", [0.0, 1.0]),),
         outputs=("g2_ccw",),
-        cutoffs=(2, 2),
+        cutoff=2,
     )
     with pytest.raises(SweepError):
         run_sweep(spec)
@@ -362,3 +362,17 @@ def test_metadata_documents_the_run():
     assert md["axis1"].startswith("delta:")
     assert "0=ok" in md["error_codes"]
     assert float(md["max_residual"]) <= 1e-10
+
+
+def test_metadata_writes_linspace_only_for_a_linspace_axis():
+    def axis_line(values):
+        spec = SweepSpec(
+            base=reference_baseline(),
+            axes=(value_axis("g_a", values),),
+            outputs=("c1_abs2",),
+        )
+        return run_sweep(spec).metadata["axis1"]
+
+    uneven = list(range(16)) + [100]
+    assert axis_line(uneven) == "g_a: " + ",".join(repr(float(v)) for v in uneven)
+    assert axis_line(np.linspace(0.0, 100.0, 17)) == "g_a: linspace(0.0, 100.0, 17)"

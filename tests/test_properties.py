@@ -321,7 +321,7 @@ def test_master_equation_failure_leaves_analytic_cells_nan(monkeypatch):
         base=reference_baseline(),
         axes=(value_axis("delta", [-40.0, 0.0, 40.0]),),
         outputs=("g2_analytic", "g2_ccw", "c2_abs2"),
-        cutoffs=(2, 2),
+        cutoff=2,
         tie_delta_a=True,
     )
     assert spec.engine == "both"

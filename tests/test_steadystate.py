@@ -138,3 +138,15 @@ def test_linalg_failure_is_solver_failure(monkeypatch):
     monkeypatch.setattr(np.linalg, "eigvalsh", fail)
     with pytest.raises(SteadyStateSolverError):
         solve_steady(reference_baseline(), n_a_max=2, n_b_max=2)
+
+
+@pytest.mark.parametrize("params", [
+    reference_baseline(),
+    # kappa underflows in the generator: the residual is nan
+    SystemParams(kappa=5e-324, g_a=1.0, drive=1.0),
+], ids=["nan-eigenvalue", "nan-residual"])
+def test_nan_check_is_solver_failure(monkeypatch, params):
+    # eigvalsh returning nan instead of raising must not let a state through.
+    monkeypatch.setattr(np.linalg, "eigvalsh", lambda rho: np.full(len(rho), np.nan))
+    with pytest.raises(SteadyStateSolverError):
+        solve_steady(params, n_a_max=2, n_b_max=2)

@@ -209,6 +209,27 @@ def test_singular_row_is_nan_and_the_others_keep_their_solve():
         assert residual[k] <= RESIDUAL_TOL
 
 
+def test_row_solved_alone_matches_its_row_in_a_stack():
+    # 1024 mixed rows: g_a == g_b, zero drive and gamma_p > 0 among generic ones.
+    rng = np.random.default_rng(5)
+    params = []
+    for k in range(1024):
+        p = random_params(rng)
+        if k % 4 == 1:
+            p = p.replace(g_b=p.g_a)
+        elif k % 4 == 2:
+            p = p.replace(drive=0.0)
+        elif k % 4 == 3:
+            p = p.replace(gamma_p=rng.uniform(0.1, 5.0))
+        params.append(p)
+    thetas = np.array([theta(p) for p in params])
+    c, residual = solve_weak_drive_rows(thetas)
+    assert (residual <= RESIDUAL_TOL).all()
+    for k in range(len(thetas)):
+        c_k, residual_k = solve_weak_drive_rows(thetas[k:k + 1])
+        assert (c[k] == c_k[0]).all() and residual[k] == residual_k[0]
+
+
 def test_hierarchy_warning_on_strong_drive():
     with pytest.warns(UserWarning):
         solve_weak_drive(reference_baseline(drive=100.0))
