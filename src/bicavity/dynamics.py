@@ -26,6 +26,17 @@ Im rho[i, j] for i < j.  There L is a real dim^2 x dim^2 matrix (99 % zeros at c
 kept as one coefficient row per field over a shared list of nonzero positions.
 Because L is complex-linear, this real block also fixes its action on
 non-Hermitian matrices; Superoperator.matrix rebuilds the complex form.
+
+Excitation-difference blocks
+----------------------------
+Let k = n_a + n_b + [emitter excited] of each basis state.  Every term of L
+keeps k_i and k_j of the vec position (i, j) it acts on, or, for the jumps
+c rho c', lowers both by one, except the drive, which changes one of them by
+one.  So with the coordinates grouped by m = |k_i - k_j| (both slots of a pair
+share one m), L is block tridiagonal over m and every population lies in
+group 0.  OperatorTable.blocks caches the grouping and, for every block
+L[a, b] with |a - b| <= 1, where its entries sit in the table's values; it
+raises if the table holds a term that joins groups further apart.
 """
 
 from __future__ import annotations
@@ -115,6 +126,30 @@ class OperatorTable:
         rows, cols = np.divmod(positions[keep], dim**2)
         return _frozen(rows), _frozen(cols), _frozen(parts[:, keep])
 
+    @cached_property
+    def blocks(self) -> BlockLayout:
+        """The generator cut into blocks by excitation difference, built on first use."""
+        dim = self.space.dim
+        # Total excitation k = n_a + n_b + [emitter excited] of each basis state.
+        k = np.rint(np.diag(self.hamiltonian["delta"] + self.hamiltonian["delta_a"])).astype(int)
+        vec = np.arange(dim**2)
+        group = np.abs(k[vec % dim] - k[vec // dim])
+        order = np.argsort(group, kind="stable")
+        bounds = np.searchsorted(group[order], np.arange(group.max() + 2))
+        local = np.empty_like(vec)
+        local[order] = vec - bounds[group[order]]
+        rows, cols, _ = self.generator
+        row_group, col_group = group[rows], group[cols]
+        if np.any(np.abs(row_group - col_group) > 1):
+            raise AssertionError("generator couples groups that differ by more than one")
+        entries = {}
+        for a in range(len(bounds) - 1):
+            for b in range(max(a - 1, 0), min(a + 2, len(bounds) - 1)):
+                index = np.flatnonzero((row_group == a) & (col_group == b))
+                flat = local[rows[index]] * (bounds[b + 1] - bounds[b]) + local[cols[index]]
+                entries[a, b] = (_frozen(flat), _frozen(index))
+        return BlockLayout(_frozen(order), _frozen(bounds), entries)
+
     def values(self, params: SystemParams) -> np.ndarray:
         """Generator entries at the nonzero positions: sum_k theta_k L_k."""
         return theta(params) @ self.generator[2]
@@ -131,6 +166,35 @@ class OperatorTable:
         """Sparse product of the generator with the real coordinates x."""
         rows, cols, _ = self.generator
         return np.bincount(rows, weights=values * x[cols], minlength=x.size)
+
+
+@dataclass(frozen=True)
+class BlockLayout:
+    """Real coordinates grouped by m = |k_i - k_j| at vec position (i, j).
+
+    Only the drive changes a k, and by one, so the generator couples group m
+    to groups m - 1, m and m + 1 alone: it is block tridiagonal over m.
+
+    order   -- vec positions sorted by group, stable: group b is
+               order[bounds[b]:bounds[b + 1]], and position 0 leads group 0
+    entries -- (a, b) with |a - b| <= 1 -> (flat index into block L[a, b],
+               index into the table's values)
+    """
+
+    order: np.ndarray
+    bounds: np.ndarray
+    entries: dict[tuple[int, int], tuple[np.ndarray, np.ndarray]]
+
+    def members(self, b: int) -> np.ndarray:
+        """Vec positions of group b, in block order."""
+        return self.order[self.bounds[b] : self.bounds[b + 1]]
+
+    def block(self, values: np.ndarray, a: int, b: int) -> np.ndarray:
+        """Dense block L[a, b]: rows of group a, columns of group b."""
+        flat, index = self.entries[a, b]
+        m = np.zeros((self.bounds[a + 1] - self.bounds[a], self.bounds[b + 1] - self.bounds[b]))
+        m.ravel()[flat] = values[index]
+        return m
 
 
 def _products(left: np.ndarray, right: np.ndarray, coef: complex, dim: int):

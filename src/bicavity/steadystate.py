@@ -1,12 +1,18 @@
 """Steady state of the Lindblad equation and photon-statistics observables.
 
 steady_state() solves L[rho] = 0 in the Hermitian real coordinates of
-dynamics.operator_table: the generator's cached affine parts are summed with
-the point's parameters and scattered into a dense real dim^2 x dim^2 matrix,
-one row is replaced by the trace constraint, and a real LU solves it.  The
-residual max |L[rho]| is then checked by a sparse product with the same table
-entries, with a least-squares fallback, and rho must be positive
-semi-definite; a nan residual or eigenvalue fails these checks.  The
+dynamics.operator_table.  The coordinates fall into groups by the excitation
+difference m = |k_i - k_j| (dynamics.BlockLayout), and only the drive joins
+neighbouring groups, so L is block tridiagonal over m.  The solve eliminates
+the groups from the top down to group 1 by Schur complements, solves group 0
+with the trace condition in place of the row of rho[0, 0], and
+back-substitutes: in exact arithmetic the same system as one dense LU, at
+about a fifth of its flops, on dense blocks built per point from the table's
+entries.  The residual max |L[rho]| is then checked by a sparse product with
+the same entries, with a dense least-squares fallback, and rho must be
+positive semi-definite; a nan residual or eigenvalue fails these checks.  A
+point with g_a = g_b = gamma_a = 0 is refused before any solve: the emitter is
+then decoupled and undamped, and its populations are conserved.  The
 observables read photon numbers cached in the same table, and g2_zero needs a
 mean photon number above UNDERFLOW_GUARD.
 """
@@ -20,6 +26,7 @@ import numpy as np
 # liouvillian and annihilator are not used here; perfbench/tracer.py wraps them
 # as attributes of this module, so they stay importable from it.
 from .dynamics import (  # noqa: F401
+    BlockLayout,
     Superoperator,
     from_real_coordinates,
     liouvillian,
@@ -51,25 +58,25 @@ class DensityMatrix:
 def steady_state(lv: Superoperator) -> DensityMatrix:
     """Solve L[rho] = 0 with Tr(rho) = 1.
 
-    Raises DegenerateSteadyStateError if the kernel is not one-dimensional and
+    Raises DegenerateSteadyStateError if the kernel is not one-dimensional (a
+    decoupled, undamped emitter, or a singular block) and
     SteadyStateSolverError if the residual cannot be brought within tolerance,
     LAPACK fails in the fallback or the PSD check, or rho is not PSD.  A nan
     residual or least eigenvalue counts as a failed check.
     """
+    p = lv.params
+    if p.g_a == 0 and p.g_b == 0 and p.gamma_a == 0:
+        raise DegenerateSteadyStateError(
+            "the emitter is decoupled and undamped (g_a = g_b = gamma_a = 0): its "
+            "populations are conserved, so the steady state is not unique"
+        )
     dim = lv.space.dim
     table = operator_table(lv.space)
-    values = table.values(lv.params)
-    system = table.dense(values)
+    values = table.values(p)
     trace = np.zeros(dim * dim)
     trace[np.arange(dim) * (dim + 1)] = 1.0
-    # Row 0 is the equation Re L[rho][0, 0] = 0; the trace condition replaces it.
-    first = system[0].copy()
-    system[0] = trace
-    rhs = np.zeros(dim * dim)
-    rhs[0] = 1.0
-
     try:
-        x = np.linalg.solve(system, rhs)
+        x = _block_solve(table.blocks, values, trace)
     except np.linalg.LinAlgError as exc:
         raise DegenerateSteadyStateError(
             "trace-constrained Liouvillian system is singular; the steady "
@@ -79,11 +86,10 @@ def steady_state(lv: Superoperator) -> DensityMatrix:
     rho, residual = _state(table, values, x, trace)
     if not residual <= RESIDUAL_TOL:  # a nan residual fails too
         # Least-squares on the stacked [L; trace] system as a fallback.
-        system[0] = first
         target = np.zeros(dim * dim + 1)
         target[-1] = 1.0
         try:
-            x, *_ = np.linalg.lstsq(np.vstack([system, trace]), target, rcond=None)
+            x, *_ = np.linalg.lstsq(np.vstack([table.dense(values), trace]), target, rcond=None)
         except np.linalg.LinAlgError as exc:
             raise SteadyStateSolverError(f"least-squares fallback failed: {exc}", residual) from exc
         rho, residual = _state(table, values, x, trace)
@@ -103,6 +109,33 @@ def steady_state(lv: Superoperator) -> DensityMatrix:
             residual=residual,
         )
     return DensityMatrix(rho, lv.space, residual)
+
+
+def _block_solve(layout: BlockLayout, values, trace) -> np.ndarray:
+    """Real coordinates x with L x = 0 except in row 0, where trace @ x = 1.
+
+    Group b's rows read L[b, b-1] x_{b-1} + D_b x_b + L[b, b+1] x_{b+1} = 0.
+    From the top group down to group 1, x_b = -X_b x_{b-1} with
+    X_b = D_b^-1 L[b, b-1], which turns group b - 1's diagonal block into
+    D_{b-1} = L[b-1, b-1] - L[b-1, b] X_b.  Group 0's block, with the row of
+    vec position 0 replaced by the trace row, then gives x_0.
+    """
+    top = len(layout.bounds) - 2
+    eliminated = [None] * (top + 1)
+    d = layout.block(values, top, top)
+    for b in range(top, 0, -1):
+        eliminated[b] = np.linalg.solve(d, layout.block(values, b, b - 1))
+        d = layout.block(values, b - 1, b - 1) - layout.block(values, b - 1, b) @ eliminated[b]
+    d[0] = trace[layout.members(0)]
+    rhs = np.zeros(len(d))
+    rhs[0] = 1.0
+    part = np.linalg.solve(d, rhs)
+    x = np.empty(len(trace))
+    x[layout.members(0)] = part
+    for b in range(1, top + 1):
+        part = -(eliminated[b] @ part)
+        x[layout.members(b)] = part
+    return x
 
 
 def _state(table, values, x, trace) -> tuple[np.ndarray, float]:

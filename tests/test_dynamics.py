@@ -1,3 +1,6 @@
+import dataclasses
+import itertools
+
 import numpy as np
 import pytest
 
@@ -12,6 +15,7 @@ from bicavity import (
     unvectorize,
     vectorize,
 )
+from bicavity.dynamics import FIELDS, operator_table
 
 
 def random_density(rng, dim):
@@ -158,3 +162,54 @@ def test_dephasing_preserves_trace_and_populations():
     assert out[i, i] == pytest.approx(0.0, abs=1e-14)
     assert out[j, j] == pytest.approx(0.0, abs=1e-14)
     assert out[i, j] == pytest.approx(-2.0 * 2.0 * 0.5, rel=1e-12)
+
+
+def excitation_groups(space) -> np.ndarray:
+    """m = |k_i - k_j| of every vec position (i, j)."""
+    k = np.array([total_excitation(label) for label in space.labels()])
+    vec = np.arange(space.dim**2)
+    return np.abs(k[vec % space.dim] - k[vec // space.dim])
+
+
+def grading_violations(table) -> int:
+    """Generator entries that break the grading by excitation difference.
+
+    Entries between groups must join neighbouring groups, and only the drive
+    may contribute there.
+    """
+    group = excitation_groups(table.space)
+    rows, cols, parts = table.generator
+    across = group[rows] != group[cols]
+    far = np.abs(group[rows] - group[cols]) > 1
+    others = np.delete(parts, FIELDS.index("drive"), axis=0)
+    return int(np.count_nonzero(far) + np.count_nonzero(others[:, across]))
+
+
+@pytest.mark.parametrize("cutoffs", list(itertools.product((1, 2, 3), repeat=2)))
+def test_only_the_drive_joins_neighbouring_groups(cutoffs):
+    table = operator_table(build_space(*cutoffs))
+    assert grading_violations(table) == 0
+    # The solver's layout: every group in one block, vec position 0 first, and
+    # every generator entry in exactly one block.
+    layout = table.blocks
+    group = excitation_groups(table.space)
+    for b in range(len(layout.bounds) - 1):
+        assert np.all(group[layout.members(b)] == b)
+    assert layout.bounds[-1] == table.space.dim**2
+    assert layout.order[0] == 0
+    index = np.concatenate([index for _, index in layout.entries.values()])
+    assert np.array_equal(np.sort(index), np.arange(table.generator[0].size))
+
+
+def test_a_term_that_breaks_the_grading_is_caught():
+    table = operator_table(build_space(2, 1))
+    a_plus_ad = table.hamiltonian["drive"]
+    # The drive's a + a' under another field's name breaks the grading.
+    broken = dataclasses.replace(table, hamiltonian={**table.hamiltonian, "delta": a_plus_ad})
+    assert grading_violations(broken) > 0
+    # A two-photon term joins groups two apart: the layout refuses it.
+    two_photon = a_plus_ad @ a_plus_ad
+    broken = dataclasses.replace(table, hamiltonian={**table.hamiltonian, "delta": two_photon})
+    assert grading_violations(broken) > 0
+    with pytest.raises(AssertionError):
+        broken.blocks

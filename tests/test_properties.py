@@ -104,6 +104,29 @@ def points(draw):
     return p, build_space(draw(st.integers(1, 3)), draw(st.integers(1, 3)))
 
 
+@st.composite
+def strong_points(draw):
+    """Drive up to 20 kappa, emitter damping down to 0 (g_a > 0), unequal cutoffs.
+
+    The drive is the one term that joins excitation-difference groups, and the
+    block solve does not pivot across groups, so strong drive tests it hardest.
+    """
+    kappa = draw(st.floats(0.5, 60.0))
+    p = SystemParams(
+        kappa=kappa,
+        delta=draw(st.floats(-120.0, 120.0)),
+        delta_a=draw(st.floats(-120.0, 120.0)),
+        j_coupling=draw(st.floats(0.0, 40.0 * kappa)),
+        g_a=draw(st.floats(1.0, 80.0)),
+        g_b=draw(st.floats(0.0, 80.0)),
+        drive=kappa * draw(st.floats(1.0, 20.0)),
+        gamma_a=draw(st.one_of(st.just(0.0), st.floats(0.0, 3.0))),
+        gamma_p=draw(st.one_of(st.just(0.0), st.floats(0.0, 20.0))),
+    )
+    n_a = draw(st.integers(1, 3))
+    return p, build_space(n_a, draw(st.integers(1, 3).filter(lambda n: n != n_a)))
+
+
 PROPERTY_SETTINGS = settings(max_examples=40, deadline=None, derandomize=True, database=None)
 
 
@@ -119,6 +142,15 @@ def test_table_matches_kronecker_generator(point):
 @PROPERTY_SETTINGS
 @given(points())
 def test_steady_state_matches_complex_solve(point):
+    p, space = point
+    rho = solve_steady(p, space.n_a_max, space.n_b_max)
+    reference = complex_steady_state(kronecker_liouvillian(p, space), space.dim)
+    assert np.max(np.abs(rho.matrix - reference)) <= 1e-10
+
+
+@PROPERTY_SETTINGS
+@given(strong_points())
+def test_strong_drive_steady_state_matches_complex_solve(point):
     p, space = point
     rho = solve_steady(p, space.n_a_max, space.n_b_max)
     reference = complex_steady_state(kronecker_liouvillian(p, space), space.dim)

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from bicavity import (
+    DegenerateSteadyStateError,
     DensityMatrix,
     SteadyStateSolverError,
     SystemParams,
@@ -150,3 +151,17 @@ def test_nan_check_is_solver_failure(monkeypatch, params):
     monkeypatch.setattr(np.linalg, "eigvalsh", lambda rho: np.full(len(rho), np.nan))
     with pytest.raises(SteadyStateSolverError):
         solve_steady(params, n_a_max=2, n_b_max=2)
+
+
+@pytest.mark.parametrize("cutoff", [1, 2, 3, 4])
+@pytest.mark.parametrize("extra", [
+    {},
+    {"gamma_p": 1.0},
+    {"j_coupling": 30.0, "delta": 2.0, "delta_a": -1.0},
+    {"gamma_p": 3.0, "j_coupling": 5.0},
+], ids=["bare", "dephased", "split-detuned", "dephased-split"])
+def test_decoupled_undamped_emitter_is_degenerate(extra, cutoff):
+    # g_a = g_b = gamma_a = 0: the emitter populations are conserved, so every
+    # mixture of the two emitter states gives a steady state.
+    with pytest.raises(DegenerateSteadyStateError):
+        solve_steady(SystemParams(kappa=1.0, drive=1.0, **extra), cutoff, cutoff)
