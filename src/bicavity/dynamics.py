@@ -154,14 +154,6 @@ class OperatorTable:
         """Generator entries at the nonzero positions: sum_k theta_k L_k."""
         return theta(params) @ self.generator[2]
 
-    def dense(self, values: np.ndarray) -> np.ndarray:
-        """Scatter values into a dense real dim^2 x dim^2 matrix."""
-        rows, cols, _ = self.generator
-        n = self.space.dim**2
-        m = np.zeros((n, n))
-        m[rows, cols] = values
-        return m
-
     def matvec(self, values: np.ndarray, x: np.ndarray) -> np.ndarray:
         """Sparse product of the generator with the real coordinates x."""
         rows, cols, _ = self.generator
@@ -267,7 +259,9 @@ class Superoperator:
     def matrix(self) -> np.ndarray:
         """Dense complex dim^2 x dim^2 matrix acting on column-stacked rho."""
         table = operator_table(self.space)
-        m = table.dense(table.values(self.params)).astype(complex)
+        rows, cols, _ = table.generator
+        m = np.zeros((self.space.dim**2,) * 2, dtype=complex)
+        m[rows, cols] = table.values(self.params)
         # Each off-diagonal pair rho[i, j], rho[j, i] (i < j) has a Re slot u =
         # pos(i, j) and an Im slot w = pos(j, i).  Columns take the pair to its
         # slots' complex combinations, rows take the slots back to the pair.

@@ -8,8 +8,11 @@ the groups from the top down to group 1 by Schur complements, solves group 0
 with the trace condition in place of the row of rho[0, 0], and
 back-substitutes: in exact arithmetic the same system as one dense LU, at
 about a fifth of its flops, on dense blocks built per point from the table's
-entries.  The residual max |L[rho]| is then checked by a sparse product with
-the same entries, with a dense least-squares fallback, and rho must be
+entries.  The elimination does not pivot across groups and loses digits when
+the drive is much larger than kappa, so it is refined with itself: each step
+solves for the correction from the residual of the last, and the first step
+is the plain elimination.  The residual max |L[rho]| is checked after each
+step by a sparse product with the same entries, and rho must be
 positive semi-definite; a nan residual or eigenvalue fails these checks.  A
 point with g_a = g_b = gamma_a = 0 is refused before any solve: the emitter is
 then decoupled and undamped, and its populations are conserved.  The
@@ -60,8 +63,8 @@ def steady_state(lv: Superoperator) -> DensityMatrix:
 
     Raises DegenerateSteadyStateError if the kernel is not one-dimensional (a
     decoupled, undamped emitter, or a singular block) and
-    SteadyStateSolverError if the residual cannot be brought within tolerance,
-    LAPACK fails in the fallback or the PSD check, or rho is not PSD.  A nan
+    SteadyStateSolverError if eight refinement solves leave the residual above
+    tolerance, LAPACK fails in the PSD check, or rho is not PSD.  A nan
     residual or least eigenvalue counts as a failed check.
     """
     p = lv.params
@@ -75,29 +78,25 @@ def steady_state(lv: Superoperator) -> DensityMatrix:
     values = table.values(p)
     trace = np.zeros(dim * dim)
     trace[np.arange(dim) * (dim + 1)] = 1.0
+    x = np.zeros(dim * dim)
     try:
-        x = _block_solve(table.blocks, values, trace)
+        for _ in range(8):
+            step = table.matvec(values, x)
+            step[0] = trace @ x - 1.0
+            x -= _block_solve(table.blocks, values, trace, step)
+            rho, residual = _state(table, values, x, trace)
+            if residual <= RESIDUAL_TOL:  # a nan residual fails
+                break
+        else:
+            raise SteadyStateSolverError(
+                f"steady-state residual {residual:.3e} above {RESIDUAL_TOL:.0e}",
+                residual=residual,
+            )
     except np.linalg.LinAlgError as exc:
         raise DegenerateSteadyStateError(
             "trace-constrained Liouvillian system is singular; the steady "
             "state is not unique at this parameter point"
         ) from exc
-
-    rho, residual = _state(table, values, x, trace)
-    if not residual <= RESIDUAL_TOL:  # a nan residual fails too
-        # Least-squares on the stacked [L; trace] system as a fallback.
-        target = np.zeros(dim * dim + 1)
-        target[-1] = 1.0
-        try:
-            x, *_ = np.linalg.lstsq(np.vstack([table.dense(values), trace]), target, rcond=None)
-        except np.linalg.LinAlgError as exc:
-            raise SteadyStateSolverError(f"least-squares fallback failed: {exc}", residual) from exc
-        rho, residual = _state(table, values, x, trace)
-        if not residual <= RESIDUAL_TOL:
-            raise SteadyStateSolverError(
-                f"steady-state residual {residual:.3e} above {RESIDUAL_TOL:.0e}",
-                residual=residual,
-            )
 
     try:
         min_eig = float(np.linalg.eigvalsh(rho).min())
@@ -111,29 +110,35 @@ def steady_state(lv: Superoperator) -> DensityMatrix:
     return DensityMatrix(rho, lv.space, residual)
 
 
-def _block_solve(layout: BlockLayout, values, trace) -> np.ndarray:
-    """Real coordinates x with L x = 0 except in row 0, where trace @ x = 1.
+def _block_solve(layout: BlockLayout, values, trace, rhs) -> np.ndarray:
+    """Real coordinates x with L x = rhs except in row 0, where trace @ x = rhs[0].
 
-    Group b's rows read L[b, b-1] x_{b-1} + D_b x_b + L[b, b+1] x_{b+1} = 0.
-    From the top group down to group 1, x_b = -X_b x_{b-1} with
-    X_b = D_b^-1 L[b, b-1], which turns group b - 1's diagonal block into
-    D_{b-1} = L[b-1, b-1] - L[b-1, b] X_b.  Group 0's block, with the row of
-    vec position 0 replaced by the trace row, then gives x_0.
+    Group b's rows read L[b, b-1] x_{b-1} + D_b x_b + L[b, b+1] x_{b+1} = r_b.
+    From the top group down to group 1, x_b = y_b - X_b x_{b-1} with
+    y_b = D_b^-1 r_b and X_b = D_b^-1 L[b, b-1], which turns group b - 1's
+    diagonal block into D_{b-1} = L[b-1, b-1] - L[b-1, b] X_b and its
+    right-hand side into r_{b-1} - L[b-1, b] y_b.  Group 0's block, with the
+    row of vec position 0 replaced by the trace row, then gives x_0.  A group
+    whose right-hand side is zero skips its solve for y_b.
     """
     top = len(layout.bounds) - 2
     eliminated = [None] * (top + 1)
+    parts = [rhs[layout.members(b)] for b in range(top + 1)]
     d = layout.block(values, top, top)
     for b in range(top, 0, -1):
         eliminated[b] = np.linalg.solve(d, layout.block(values, b, b - 1))
-        d = layout.block(values, b - 1, b - 1) - layout.block(values, b - 1, b) @ eliminated[b]
+        upper = layout.block(values, b - 1, b)
+        if parts[b].any():
+            parts[b] = np.linalg.solve(d, parts[b])
+            parts[b - 1] -= upper @ parts[b]
+        d = layout.block(values, b - 1, b - 1) - upper @ eliminated[b]
     d[0] = trace[layout.members(0)]
-    rhs = np.zeros(len(d))
-    rhs[0] = 1.0
-    part = np.linalg.solve(d, rhs)
+    parts[0][0] = rhs[0]
+    part = np.linalg.solve(d, parts[0])
     x = np.empty(len(trace))
     x[layout.members(0)] = part
     for b in range(1, top + 1):
-        part = -(eliminated[b] @ part)
+        part = parts[b] - eliminated[b] @ part
         x[layout.members(b)] = part
     return x
 

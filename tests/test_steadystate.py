@@ -19,6 +19,10 @@ from bicavity import (
     solve_steady,
     steady_state,
 )
+from bicavity import steadystate
+from bicavity.dynamics import operator_table
+from bicavity.steadystate import RESIDUAL_TOL
+from test_properties import complex_steady_state, kronecker_liouvillian
 
 
 def test_undriven_steady_state_is_vacuum():
@@ -165,3 +169,42 @@ def test_decoupled_undamped_emitter_is_degenerate(extra, cutoff):
     # mixture of the two emitter states gives a steady state.
     with pytest.raises(DegenerateSteadyStateError):
         solve_steady(SystemParams(kappa=1.0, drive=1.0, **extra), cutoff, cutoff)
+
+
+@pytest.mark.parametrize("g_a, cutoff", [(0.5, 2), (1.0, 3)])
+def test_refinement_recovers_a_strong_drive_elimination(g_a, cutoff):
+    # At drive = 1000 kappa the elimination, which does not pivot across
+    # groups, leaves a residual near 1e-7 on a well-conditioned system
+    # (condition number 1.7e4 and 2.7e4); refining with it recovers the state.
+    p = SystemParams(kappa=1.0, drive=1000.0, g_a=g_a, j_coupling=0.1, gamma_a=1.0)
+    space = build_space(cutoff, cutoff)
+    table = operator_table(space)
+    values = table.values(p)
+    trace = np.zeros(space.dim**2)
+    trace[np.arange(space.dim) * (space.dim + 1)] = 1.0
+    x = steadystate._block_solve(table.blocks, values, trace, np.eye(space.dim**2)[0])
+    assert steadystate._state(table, values, x, trace)[1] > RESIDUAL_TOL
+
+    rho = solve_steady(p, cutoff, cutoff)
+    assert rho.residual <= RESIDUAL_TOL
+    reference = complex_steady_state(kronecker_liouvillian(p, space), space.dim)
+    assert np.max(np.abs(rho.matrix - reference)) <= 1e-12
+
+
+@pytest.mark.parametrize("params, cutoff", [
+    (reference_baseline(), 3),
+    # me_cut4 pool points fig8a[60] and fig14b[34]
+    (SystemParams(kappa=1.0, g_a=100.0, g_b=100.0, drive=1.0, gamma_a=1.0), 4),
+    (reference_baseline(delta=-120.0, delta_a=16.0, j_coupling=800.0), 4),
+], ids=["baseline-cut3", "fig8a-cut4", "fig14b-cut4"])
+def test_a_well_conditioned_point_takes_one_solve(monkeypatch, params, cutoff):
+    calls = []
+    block_solve = steadystate._block_solve
+
+    def counted(*args):
+        calls.append(args)
+        return block_solve(*args)
+
+    monkeypatch.setattr(steadystate, "_block_solve", counted)
+    assert solve_steady(params, cutoff, cutoff).residual <= RESIDUAL_TOL
+    assert len(calls) == 1
