@@ -7,17 +7,18 @@ Conventions
   the single-excitation linear system used by the weak-drive analytics.
 * Pure dephasing is the standard Lindblad dissipator with jump operator
   sigma_z (Pauli, eigenvalues +-1) at rate gamma_p:
-      (gamma_p/2) (2 sz rho sz - {sz^2, rho}) = gamma_p (sz rho sz - rho).
+      (gamma_p/2) (2 sz rho sz - {sz^2, rho}) = gamma_p (sz rho sz - rho);
+  sz^2 = 1, so its part of H_nh is -(i/2) gamma_p on the identity.
 * Superoperators act on column-stacked density matrices,
   vec(rho)[j*dim + i] = rho[i, j], so vec(A rho B) = kron(B.T, A) vec(rho).
   pos(i, j) = j*dim + i below is that vec position.
 
 Affine operator table
 ---------------------
-Every SystemParams field enters L and H_nh linearly: L = sum_k theta_k L_k and
-H_nh = sum_k theta_k H_k.  operator_table(space) caches both per space.  The L_k
-are built by index arithmetic on the nonzeros of the (real) ladder operators
-when a Lindblad solve first asks for them; the weak-drive path never does.
+Every SystemParams field enters H_nh = sum_k theta_k H_k and L = sum_k theta_k L_k
+linearly.  operator_table(space) caches the H_k and each dissipative field's
+jumps c, and builds L_k rho = -i (H_k rho - rho H_k') + sum c rho c' from them
+by index arithmetic when a Lindblad solve first asks; weak drive never does.
 
 L maps Hermitian matrices to Hermitian matrices and every theta_k is real, so
 the table stores L in Hermitian real coordinates: one real slot per vec
@@ -86,14 +87,13 @@ def theta(params: SystemParams) -> np.ndarray:
 class OperatorTable:
     """Parameter-independent parts of the model on one space (read-only arrays).
 
-    hamiltonian  -- coherent field -> real symmetric operator it multiplies in H
-    nonhermitian -- field -> operator in H_nh = H - (i/2) sum c'c (kappa, gamma_a jumps)
+    nonhermitian -- field -> operator in H_nh: real symmetric if coherent, else
+                    -(i/2) sum c'c over its jumps
     jumps        -- dissipative field -> jump operators it is the rate of
     number       -- mode -> diagonal of a'a, the photon number of each basis state
     """
 
     space: FockSpace
-    hamiltonian: dict[str, np.ndarray]
     nonhermitian: dict[str, np.ndarray]
     jumps: dict[str, tuple[np.ndarray, ...]]
     number: dict[str, np.ndarray]
@@ -106,14 +106,10 @@ class OperatorTable:
         eye = np.eye(dim)
         triplets = []
         for k, name in enumerate(FIELDS):
-            if name in self.hamiltonian:  # -i [H, rho]
-                h = self.hamiltonian[name]
-                terms = [(h, eye, -1j), (eye, h, 1j)]
-            else:  # c rho c' - (c'c rho + rho c'c) / 2
-                terms = []
-                for c in self.jumps[name]:
-                    cdc = c.T @ c
-                    terms += [(c, c.T, 1.0), (cdc, eye, -0.5), (eye, cdc, -0.5)]
+            # -i (H_k rho - rho H_k') + sum c rho c'
+            h = self.nonhermitian[name]
+            terms = [(h, eye, -1j), (eye, h.conj().T, 1j)]
+            terms += [(c, c.T, 1.0) for c in self.jumps.get(name, ())]
             for left, right, coef in terms:
                 rows, cols, vals = _real_coordinates(*_products(left, right, coef, dim), dim)
                 triplets.append((np.full(rows.size, k), rows * dim**2 + cols, vals))
@@ -131,7 +127,7 @@ class OperatorTable:
         """The generator cut into blocks by excitation difference, built on first use."""
         dim = self.space.dim
         # Total excitation k = n_a + n_b + [emitter excited] of each basis state.
-        k = np.rint(np.diag(self.hamiltonian["delta"] + self.hamiltonian["delta_a"])).astype(int)
+        k = np.rint(np.diag(self.nonhermitian["delta"] + self.nonhermitian["delta_a"])).astype(int)
         vec = np.arange(dim**2)
         group = np.abs(k[vec % dim] - k[vec // dim])
         order = np.argsort(group, kind="stable")
@@ -229,20 +225,19 @@ def operator_table(space: FockSpace) -> OperatorTable:
     a = annihilator(space, "ccw").real
     b = annihilator(space, "cw").real
     sm = emitter_lowering(space).real
-    hamiltonian = {
+    jumps = {"kappa": (a, b), "gamma_a": (sm,), "gamma_p": (pauli_z(space).real,)}
+    nonhermitian = {
         "delta": a.T @ a + b.T @ b,
         "delta_a": emitter_excitation_projector(space).real,
         "j_coupling": a.T @ b + b.T @ a,
         "g_a": a.T @ sm + sm.T @ a,
         "g_b": b.T @ sm + sm.T @ b,
         "drive": a + a.T,
+        **{name: -0.5j * sum(c.T @ c for c in cs) for name, cs in jumps.items()},
     }
-    jumps = {"kappa": (a, b), "gamma_a": (sm,), "gamma_p": (pauli_z(space).real,)}
-    decay = {name: -0.5j * sum(c.T @ c for c in jumps[name]) for name in ("kappa", "gamma_a")}
     return OperatorTable(
         space=space,
-        hamiltonian={name: _frozen(h) for name, h in hamiltonian.items()},
-        nonhermitian={name: _frozen(h) for name, h in {**hamiltonian, **decay}.items()},
+        nonhermitian={name: _frozen(h) for name, h in nonhermitian.items()},
         jumps={name: tuple(_frozen(c) for c in cs) for name, cs in jumps.items()},
         number={mode: _frozen(np.diag(c.T @ c).copy()) for mode, c in zip(MODES, (a, b))},
     )
@@ -276,16 +271,14 @@ class Superoperator:
 
 
 def hamiltonian_eff(params: SystemParams, space: FockSpace) -> np.ndarray:
-    """Rotating-frame Hamiltonian (units hbar = 1); exactly Hermitian."""
-    terms = operator_table(space).hamiltonian
-    return sum(getattr(params, name) * h for name, h in terms.items()).astype(complex)
+    """Rotating-frame Hamiltonian (hbar = 1), H_nh without the jump fields; exactly Hermitian."""
+    table = operator_table(space)
+    coherent = (name for name in table.nonhermitian if name not in table.jumps)
+    return sum(getattr(params, name) * table.nonhermitian[name] for name in coherent).astype(complex)
 
 
 def nonhermitian_hamiltonian(params: SystemParams, space: FockSpace) -> np.ndarray:
-    """Effective Hamiltonian with decay folded into complex detunings.
-
-    Intended for the weak-drive analysis; pure dephasing is not included.
-    """
+    """H_nh = H - (i/2) sum rate c'c over every jump, dephasing's -(i/2) gamma_p 1 too."""
     terms = operator_table(space).nonhermitian
     return sum(getattr(params, name) * h for name, h in terms.items())
 

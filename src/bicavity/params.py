@@ -37,15 +37,8 @@ class SystemParams:
     gamma_p: float = 0.0
 
     def __post_init__(self):
-        if not self.kappa > 0:
-            raise ValueError(f"kappa must be positive, got {self.kappa}")
-        for name in ("kappa", "delta", "delta_a", "j_coupling", "g_a", "g_b",
-                     "drive", "gamma_a", "gamma_p"):
-            value = getattr(self, name)
-            if not math.isfinite(value):
-                raise ValueError(f"{name} must be finite, got {value}")
-            if value < 0 and name not in ("delta", "delta_a"):
-                raise ValueError(f"{name} must be non-negative, got {value}")
+        for field in dataclasses.fields(self):
+            check_field(field.name, getattr(self, field.name))
 
     @property
     def gamma_total(self) -> float:
@@ -54,6 +47,16 @@ class SystemParams:
 
     def replace(self, **changes) -> "SystemParams":
         return dataclasses.replace(self, **changes)
+
+
+def check_field(name: str, value: float) -> None:
+    """Raise ValueError unless value is allowed for the SystemParams field name."""
+    if name == "kappa" and not value > 0:
+        raise ValueError(f"kappa must be positive, got {value}")
+    if not math.isfinite(value):
+        raise ValueError(f"{name} must be finite, got {value}")
+    if value < 0 and name not in ("delta", "delta_a"):
+        raise ValueError(f"{name} must be non-negative, got {value}")
 
 
 def reference_baseline(**overrides) -> SystemParams:

@@ -12,12 +12,13 @@ entries.  The elimination does not pivot across groups and loses digits when
 the drive is much larger than kappa, so it is refined with itself: each step
 solves for the correction from the residual of the last, and the first step
 is the plain elimination.  The residual max |L[rho]| is checked after each
-step by a sparse product with the same entries, and rho must be
-positive semi-definite; a nan residual or eigenvalue fails these checks.  A
-point with g_a = g_b = gamma_a = 0 is refused before any solve: the emitter is
-then decoupled and undamped, and its populations are conserved.  The
-observables read photon numbers cached in the same table, and g2_zero needs a
-mean photon number above UNDERFLOW_GUARD.
+step by a sparse product with the same entries, and refinement stops at a
+step that does not lower it.  rho must be positive semi-definite; a nan
+residual or eigenvalue fails these checks.  A point with
+g_a = g_b = gamma_a = 0 is refused before any solve: the emitter is then
+decoupled and undamped, and its populations are conserved.  The observables
+read photon numbers cached in the same table, and g2_zero needs a mean photon
+number above UNDERFLOW_GUARD.
 """
 
 from __future__ import annotations
@@ -63,9 +64,9 @@ def steady_state(lv: Superoperator) -> DensityMatrix:
 
     Raises DegenerateSteadyStateError if the kernel is not one-dimensional (a
     decoupled, undamped emitter, or a singular block) and
-    SteadyStateSolverError if eight refinement solves leave the residual above
-    tolerance, LAPACK fails in the PSD check, or rho is not PSD.  A nan
-    residual or least eigenvalue counts as a failed check.
+    SteadyStateSolverError if refinement (at most eight solves, up to the first
+    that does not lower the residual) ends above tolerance, LAPACK fails in
+    the PSD check, or rho is not PSD.  A nan residual or eigenvalue fails.
     """
     p = lv.params
     if p.g_a == 0 and p.g_b == 0 and p.gamma_a == 0:
@@ -79,15 +80,17 @@ def steady_state(lv: Superoperator) -> DensityMatrix:
     trace = np.zeros(dim * dim)
     trace[np.arange(dim) * (dim + 1)] = 1.0
     x = np.zeros(dim * dim)
+    previous = np.inf
     try:
         for _ in range(8):
             step = table.matvec(values, x)
             step[0] = trace @ x - 1.0
             x -= _block_solve(table.blocks, values, trace, step)
             rho, residual = _state(table, values, x, trace)
-            if residual <= RESIDUAL_TOL:  # a nan residual fails
+            if residual <= RESIDUAL_TOL or not residual < previous:  # nan fails both
                 break
-        else:
+            previous = residual
+        if not residual <= RESIDUAL_TOL:
             raise SteadyStateSolverError(
                 f"steady-state residual {residual:.3e} above {RESIDUAL_TOL:.0e}",
                 residual=residual,

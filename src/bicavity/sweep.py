@@ -41,7 +41,7 @@ from .errors import (
 )
 from .dynamics import FIELDS, theta
 from .meanfield import normalized_spectrum
-from .params import SystemParams, reference_baseline
+from .params import SystemParams, check_field, reference_baseline
 from .steadystate import g2_zero, mean_photon, solve_steady
 from .weakdrive import (
     RESIDUAL_TOL,
@@ -207,8 +207,7 @@ def _axis_fields(spec: SweepSpec, name: str) -> tuple[str, ...]:
 def _grid(spec: SweepSpec) -> tuple[np.ndarray, np.ndarray]:
     """Axis values (P, axes) and parameter rows (P, len(FIELDS)), first axis outer.
 
-    Each axis value is checked once through SystemParams; its checks are per
-    field, so that covers every point.
+    Each axis value is checked once per field it sets, which covers every point.
     """
     points = np.stack(
         np.meshgrid(*(axis.values for axis in spec.axes), indexing="ij"), axis=-1
@@ -217,7 +216,8 @@ def _grid(spec: SweepSpec) -> tuple[np.ndarray, np.ndarray]:
     for k, axis in enumerate(spec.axes):
         names = _axis_fields(spec, axis.name)
         for value in axis.values:
-            spec.base.replace(**dict.fromkeys(names, value))
+            for name in names:
+                check_field(name, value)
         thetas[:, [FIELDS.index(name) for name in names]] = points[:, k, None]
     return points, thetas
 

@@ -94,9 +94,7 @@ def _hamiltonian_parts() -> np.ndarray:
     flat = [space.index(*ket) for ket in _KETS]
     n = np.array([n_a + n_b + (e == "+") for n_a, n_b, e in _KETS])
     keep = n[:, None] >= n
-    parts = np.zeros((len(FIELDS), len(_KETS), len(_KETS)), dtype=complex)
-    for name, h in terms.items():
-        parts[FIELDS.index(name)] = np.where(keep, h[np.ix_(flat, flat)], 0)
+    parts = np.stack([np.where(keep, terms[name][np.ix_(flat, flat)], 0) for name in FIELDS])
     parts = parts.reshape(len(FIELDS), -1)
     parts.setflags(write=False)
     return parts

@@ -102,11 +102,12 @@ def test_single_excitation_block_matrix():
 
 def test_nonhermitian_decay_rates():
     space = build_space(2, 2)
-    p = SystemParams(kappa=8.0, gamma_a=2.0)
+    p = SystemParams(kappa=8.0, gamma_a=2.0, gamma_p=0.75)
     h = nonhermitian_hamiltonian(p, space)
     anti = (h - h.conj().T) / 2.0
     for flat, (n_a, n_b, i) in enumerate(space.labels()):
-        rate = 8.0 * (n_a + n_b) + (2.0 if i == "+" else 0.0)
+        # dephasing's sigma_z' sigma_z = 1 adds gamma_p to every state
+        rate = 8.0 * (n_a + n_b) + (2.0 if i == "+" else 0.0) + 0.75
         assert anti[flat, flat] == pytest.approx(-0.5j * rate)
     assert np.max(np.abs(anti - np.diag(np.diag(anti)))) == 0.0
 
@@ -203,13 +204,13 @@ def test_only_the_drive_joins_neighbouring_groups(cutoffs):
 
 def test_a_term_that_breaks_the_grading_is_caught():
     table = operator_table(build_space(2, 1))
-    a_plus_ad = table.hamiltonian["drive"]
+    a_plus_ad = table.nonhermitian["drive"]
     # The drive's a + a' under another field's name breaks the grading.
-    broken = dataclasses.replace(table, hamiltonian={**table.hamiltonian, "delta": a_plus_ad})
+    broken = dataclasses.replace(table, nonhermitian={**table.nonhermitian, "delta": a_plus_ad})
     assert grading_violations(broken) > 0
     # A two-photon term joins groups two apart: the layout refuses it.
     two_photon = a_plus_ad @ a_plus_ad
-    broken = dataclasses.replace(table, hamiltonian={**table.hamiltonian, "delta": two_photon})
+    broken = dataclasses.replace(table, nonhermitian={**table.nonhermitian, "delta": two_photon})
     assert grading_violations(broken) > 0
     with pytest.raises(AssertionError):
         broken.blocks

@@ -153,8 +153,11 @@ def test_linalg_failure_is_solver_failure(monkeypatch):
 def test_nan_check_is_solver_failure(monkeypatch, params):
     # eigvalsh returning nan instead of raising must not let a state through.
     monkeypatch.setattr(np.linalg, "eigvalsh", lambda rho: np.full(len(rho), np.nan))
+    calls = counted_block_solves(monkeypatch)
     with pytest.raises(SteadyStateSolverError):
         solve_steady(params, n_a_max=2, n_b_max=2)
+    # a nan residual does not lower the last one, so refinement stops at once
+    assert len(calls) == 1
 
 
 @pytest.mark.parametrize("cutoff", [1, 2, 3, 4])
@@ -198,6 +201,28 @@ def test_refinement_recovers_a_strong_drive_elimination(g_a, cutoff):
     (reference_baseline(delta=-120.0, delta_a=16.0, j_coupling=800.0), 4),
 ], ids=["baseline-cut3", "fig8a-cut4", "fig14b-cut4"])
 def test_a_well_conditioned_point_takes_one_solve(monkeypatch, params, cutoff):
+    calls = counted_block_solves(monkeypatch)
+    assert solve_steady(params, cutoff, cutoff).residual <= RESIDUAL_TOL
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize("reported", [
+    [1e-6, 1e-8, 1e-7, 1e-12],
+    [1e-6, 1e-8, 1e-8, 1e-12],
+], ids=["rising", "flat"])
+def test_refinement_stops_at_a_step_that_does_not_lower_the_residual(monkeypatch, reported):
+    calls = counted_block_solves(monkeypatch)
+    residuals = iter(reported)
+    state = steadystate._state
+    monkeypatch.setattr(steadystate, "_state", lambda *args: (state(*args)[0], next(residuals)))
+    with pytest.raises(SteadyStateSolverError) as caught:
+        solve_steady(reference_baseline(), 2, 2)
+    assert len(calls) == 3
+    assert caught.value.residual == reported[2]
+
+
+def counted_block_solves(monkeypatch) -> list:
+    """Record the arguments of every _block_solve call the solver makes."""
     calls = []
     block_solve = steadystate._block_solve
 
@@ -206,5 +231,4 @@ def test_a_well_conditioned_point_takes_one_solve(monkeypatch, params, cutoff):
         return block_solve(*args)
 
     monkeypatch.setattr(steadystate, "_block_solve", counted)
-    assert solve_steady(params, cutoff, cutoff).residual <= RESIDUAL_TOL
-    assert len(calls) == 1
+    return calls
