@@ -6,8 +6,8 @@ Subcommands:
   figure    -- run a built-in figure preset
   check     -- fast self-check of the core numerical invariants
 
-Exit code 0 on success; on failure a machine-readable JSON error summary is
-printed to stderr and the exit code is nonzero.
+Exit code 0 on success; a package error, ValueError (bad input) or OSError prints
+a JSON error summary to stderr and exits 1, and any other exception propagates.
 """
 
 from __future__ import annotations
@@ -96,37 +96,49 @@ _CONFIG_KEYS = {
 }
 
 
+def _require(section, *keys) -> None:
+    if missing := [key for key in keys if key not in section]:
+        raise ValueError(f"config section [{section.name}] needs {', '.join(missing)}")
+
+
 def _parse_config(path) -> SweepSpec:
+    """The sweep an INI file describes; a malformed file or a missing key is a ValueError."""
     cfg = configparser.ConfigParser()
     cfg.read_dict({"base": {}, "sweep": {}})
-    if not cfg.read(path):
-        raise BicavityError(f"cannot read config file {path}")
-    for section in cfg.sections():
-        if section not in _CONFIG_KEYS:
-            raise ValueError(f"unknown config section [{section}]")
-        if unknown := sorted(set(cfg[section]) - _CONFIG_KEYS[section]):
-            raise ValueError(f"unknown key(s) {unknown} in config section [{section}]")
+    try:
+        if not cfg.read(path):
+            raise BicavityError(f"cannot read config file {path}")
+        for section in cfg.sections():
+            if section not in _CONFIG_KEYS:
+                raise ValueError(f"unknown config section [{section}]")
+            if unknown := sorted(set(cfg[section]) - _CONFIG_KEYS[section]):
+                raise ValueError(f"unknown key(s) {unknown} in config section [{section}]")
+        _require(cfg["base"], "kappa")
 
-    axes: list[Axis] = []
-    for sec in (cfg[name] for name in ("axis1", "axis2") if name in cfg):
-        if "values" in sec:
-            if {"min", "max", "count"} & set(sec):
-                raise ValueError(f"config section [{sec.name}] gives both values and min/max/count")
-            axes.append(value_axis(sec["name"], [float(v) for v in sec["values"].split(",")]))
-        else:
-            axes.append(
-                linear_axis(sec["name"], sec.getfloat("min"), sec.getfloat("max"), sec.getint("count"))
-            )
+        axes: list[Axis] = []
+        for sec in (cfg[name] for name in ("axis1", "axis2") if name in cfg):
+            _require(sec, "name")
+            if "values" in sec:
+                if {"min", "max", "count"} & set(sec):
+                    raise ValueError(f"config section [{sec.name}] gives both values and min/max/count")
+                axes.append(value_axis(sec["name"], [float(v) for v in sec["values"].split(",")]))
+            else:
+                _require(sec, "min", "max", "count")
+                axes.append(
+                    linear_axis(sec["name"], sec.getfloat("min"), sec.getfloat("max"), sec.getint("count"))
+                )
 
-    sweep_sec = cfg["sweep"]
-    return SweepSpec(
-        base=SystemParams(**{k: float(v) for k, v in cfg["base"].items()}),
-        axes=tuple(axes),
-        outputs=tuple(s.strip() for s in sweep_sec.get("outputs", "g2_ccw").split(",")),
-        cutoff=sweep_sec.getint("cutoff", 4),
-        tie_delta_a=sweep_sec.getboolean("tie_delta_a", False),
-        label=sweep_sec.get("label", "custom"),
-    )
+        sweep_sec = cfg["sweep"]
+        return SweepSpec(
+            base=SystemParams(**{k: float(v) for k, v in cfg["base"].items()}),
+            axes=tuple(axes),
+            outputs=tuple(s.strip() for s in sweep_sec.get("outputs", "g2_ccw").split(",")),
+            cutoff=sweep_sec.getint("cutoff", 4),
+            tie_delta_a=sweep_sec.getboolean("tie_delta_a", False),
+            label=sweep_sec.get("label", "custom"),
+        )
+    except configparser.Error as exc:
+        raise ValueError(f"malformed config file {path}: {exc}") from exc
 
 
 def _finish_sweep(spec: SweepSpec, args, out_path) -> int:
@@ -219,7 +231,7 @@ def main(argv=None) -> int:
     }
     try:
         return handlers[args.command](args)
-    except (BicavityError, ValueError, TypeError, KeyError, OSError) as exc:
+    except (BicavityError, ValueError, OSError) as exc:
         json.dump({"error": type(exc).__name__, "message": str(exc)}, sys.stderr)
         sys.stderr.write("\n")
         return 1

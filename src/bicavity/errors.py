@@ -1,8 +1,12 @@
-"""Exception hierarchy shared across the package."""
+"""Exception hierarchy shared across the package.
+
+Each class's `code` is the key of sweep.ERROR_CODES that tags a row failing with it.
+"""
 
 
 class BicavityError(Exception):
     """Base class for all errors raised by this package."""
+    code = "invalid_point"
 
 
 class InvalidTruncationError(BicavityError, ValueError):
@@ -11,10 +15,12 @@ class InvalidTruncationError(BicavityError, ValueError):
 
 class DegenerateSteadyStateError(BicavityError):
     """Liouvillian kernel has dimension greater than one."""
+    code = "degenerate_steady_state"
 
 
 class SteadyStateSolverError(BicavityError):
     """Linear solve for the steady state did not converge."""
+    code = "solver_failure"
 
     def __init__(self, message, residual=None):
         super().__init__(message)
@@ -23,10 +29,12 @@ class SteadyStateSolverError(BicavityError):
 
 class UndefinedCorrelationError(BicavityError):
     """g2(0) requested for a mode with (numerically) zero occupation."""
+    code = "undefined_correlation"
 
 
 class AnalyticSingularityError(BicavityError):
     """A weak-drive denominator vanished at the requested parameter point."""
+    code = "analytic_singularity"
 
 
 class WeakDriveDomainError(BicavityError, ValueError):

@@ -37,13 +37,11 @@ class SystemParams:
     gamma_p: float = 0.0
 
     def __post_init__(self):
+        # Stored as float, so equal inputs (40, 40.0, np.float64(40)) print alike.
         for field in dataclasses.fields(self):
-            check_field(field.name, getattr(self, field.name))
-
-    @property
-    def gamma_total(self) -> float:
-        """Total emitter linewidth gamma_a + 2*gamma_p."""
-        return self.gamma_a + 2.0 * self.gamma_p
+            value = getattr(self, field.name)
+            check_field(field.name, value)
+            object.__setattr__(self, field.name, float(value))
 
     def replace(self, **changes) -> "SystemParams":
         return dataclasses.replace(self, **changes)

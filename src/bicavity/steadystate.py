@@ -37,6 +37,7 @@ from .dynamics import (  # noqa: F401
     operator_table,
 )
 from .errors import (
+    BicavityError,
     DegenerateSteadyStateError,
     SteadyStateSolverError,
     UndefinedCorrelationError,
@@ -206,13 +207,14 @@ class TruncationReport:
 
 
 def check_truncation(params: SystemParams, base_cutoff: int, mode: str = "ccw") -> TruncationReport:
-    """Compare g2(0) at cutoffs (base, base + 1); flag changes above tolerance."""
+    """Compare g2(0) at cutoffs (base, base + 1); flag changes above tolerance.
+    A package error is reported in `error`; any other exception propagates."""
     if base_cutoff < 2:
         raise ValueError(f"base_cutoff must be >= 2, got {base_cutoff}")
     try:
         g2_base = master_equation_g2(params, base_cutoff, base_cutoff, mode)
         g2_ref = master_equation_g2(params, base_cutoff + 1, base_cutoff + 1, mode)
-    except (UndefinedCorrelationError, SteadyStateSolverError, DegenerateSteadyStateError) as exc:
+    except BicavityError as exc:
         return TruncationReport(base_cutoff, None, None, None, False, error=str(exc))
     rel = abs(g2_ref - g2_base) / abs(g2_ref)
     return TruncationReport(base_cutoff, g2_base, g2_ref, rel, rel <= TRUNCATION_TOL)

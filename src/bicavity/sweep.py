@@ -3,7 +3,8 @@
 A sweep walks a 1-D or 2-D grid of parameter values, evaluates the requested
 observables at every point and collects the results into a rectangular table.
 Failed points are tagged with a numeric error code instead of being dropped,
-so 2-D scans always stay rectangular.
+so 2-D scans always stay rectangular: a package error's `code` names its key
+in ERROR_CODES, and any other exception propagates.
 
 The grid is built once as an array of parameter rows.  Engines run in the
 order of _OUTPUTS, each on the rows that have not failed yet.  The weak-drive
@@ -30,15 +31,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import __version__
-from .errors import (
-    AnalyticSingularityError,
-    BicavityError,
-    DegenerateSteadyStateError,
-    InvalidTruncationError,
-    SteadyStateSolverError,
-    SweepError,
-    UndefinedCorrelationError,
-)
+from .errors import BicavityError, InvalidTruncationError, SweepError
 from .dynamics import FIELDS, theta
 from .meanfield import normalized_spectrum
 from .params import SystemParams, check_field, reference_baseline
@@ -77,7 +70,7 @@ _OUTPUTS = {
 ALL_OUTPUTS = tuple(_OUTPUTS)
 MASTER_OUTPUTS = tuple(o for o, (engine, _) in _OUTPUTS.items() if engine == "master_equation")
 
-# Numeric tags for the per-row "error" column.
+# Numeric tags for the per-row "error" column; BicavityError.code names the key.
 ERROR_CODES = {
     "ok": 0,
     "undefined_correlation": 1,
@@ -86,13 +79,6 @@ ERROR_CODES = {
     "degenerate_steady_state": 4,
     "invalid_point": 9,
 }
-# Row code of each package error, most specific first; any other is invalid_point.
-_ERROR_OF = (
-    (UndefinedCorrelationError, "undefined_correlation"),
-    (AnalyticSingularityError, "analytic_singularity"),
-    (SteadyStateSolverError, "solver_failure"),
-    (DegenerateSteadyStateError, "degenerate_steady_state"),
-)
 # Rows per stacked weak-drive solve.  A chunk's work arrays take a few MB; one
 # stack of a whole 201 x 201 scan would take about 50 MB.
 _CHUNK = 1024
@@ -105,7 +91,7 @@ _AXIS_NAMES = FIELDS + ("g",)
 
 @dataclass(frozen=True)
 class Axis:
-    """One swept parameter with its explicit grid values."""
+    """One swept parameter with its explicit grid values, stored as a tuple of floats."""
 
     name: str
     values: tuple[float, ...]
@@ -113,6 +99,7 @@ class Axis:
     def __post_init__(self):
         if self.name not in _AXIS_NAMES:
             raise ValueError(f"unknown axis name {self.name!r}; expected one of {_AXIS_NAMES}")
+        object.__setattr__(self, "values", tuple(float(v) for v in self.values))
         if len(self.values) < 1:
             raise ValueError("axis needs at least one value")
 
@@ -123,12 +110,12 @@ def linear_axis(name: str, lo: float, hi: float, count: int) -> Axis:
         raise ValueError(f"axis count must be >= 2, got {count}")
     if not lo < hi:
         raise ValueError(f"axis needs lo < hi, got [{lo}, {hi}]")
-    return Axis(name, tuple(float(v) for v in np.linspace(lo, hi, count)))
+    return Axis(name, np.linspace(lo, hi, count))
 
 
 def value_axis(name: str, values) -> Axis:
     """Axis over an explicit list of values (e.g. a small family of J)."""
-    return Axis(name, tuple(float(v) for v in values))
+    return Axis(name, values)
 
 
 @dataclass(frozen=True)
@@ -222,13 +209,6 @@ def _grid(spec: SweepSpec) -> tuple[np.ndarray, np.ndarray]:
     return points, thetas
 
 
-def _error_code(exc: BicavityError) -> int:
-    for cls, name in _ERROR_OF:
-        if isinstance(exc, cls):
-            return ERROR_CODES[name]
-    return ERROR_CODES["invalid_point"]
-
-
 def _master_rows(spec: SweepSpec, readers, thetas: np.ndarray, threads: int):
     """Solve the master equation point by point and read its outputs.
 
@@ -245,7 +225,7 @@ def _master_rows(spec: SweepSpec, readers, thetas: np.ndarray, threads: int):
             for k, read in enumerate(readers):
                 out[k] = read(rho)
         except BicavityError as exc:
-            return out, _error_code(exc), residual
+            return out, ERROR_CODES[exc.code], residual
         return out, ERROR_CODES["ok"], residual
 
     if threads > 1:

@@ -135,6 +135,24 @@ def test_rejected_sweep_setting_is_reported(tmp_path, capsys, line, named):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("text, named", [
+    ("kappa = 40\n", "no section headers"),
+    ("[base]\nkappa = 40\nkappa = 41\n", "option 'kappa' in section 'base' already exists"),
+    ("[base]\ng_a = 20\n", "[base] needs kappa"),
+    ("[base]\nkappa = 40\n[axis1]\nvalues = 0\n", "[axis1] needs name"),
+    ("[base]\nkappa = 40\n[axis1]\nname = delta\nmin = 0\nmax = 1\n", "[axis1] needs count"),
+], ids=["no-header", "repeated-key", "no-kappa", "no-name", "no-count"])
+def test_bad_config_is_reported(tmp_path, capsys, text, named):
+    cfg = tmp_path / "bad.ini"
+    cfg.write_text(text)
+    out = tmp_path / "x.csv"
+    assert main(["sweep", str(cfg), "--out", str(out)]) == 1
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "ValueError"
+    assert named in err["message"]
+    assert not out.exists()
+
+
 def test_legacy_engine_key_is_ignored(tmp_path):
     cfg = tmp_path / "legacy.ini"
     cfg.write_text(ONE_POINT_INI + "engine = master_equation\n")

@@ -1,3 +1,4 @@
+import inspect
 import math
 
 import numpy as np
@@ -5,12 +6,16 @@ import pytest
 
 from bicavity import (
     ERROR_CODES,
+    BicavityError,
+    DegenerateSteadyStateError,
     FIGURE_NAMES,
     Axis,
     ResultTable,
     SystemParams,
+    SteadyStateSolverError,
     SweepError,
     SweepSpec,
+    UndefinedCorrelationError,
     emit_csv,
     figure_preset,
     linear_axis,
@@ -22,7 +27,7 @@ from bicavity import (
     value_axis,
 )
 from bicavity.weakdrive import abs2, solve_weak_drive_rows
-from bicavity import sweep
+from bicavity import errors, sweep
 
 
 def small_spec(**overrides):
@@ -171,6 +176,43 @@ def test_programming_errors_propagate(monkeypatch):
         run_sweep(spec)
 
 
+def test_every_package_error_names_a_row_code():
+    classes = [cls for _, cls in inspect.getmembers(errors, inspect.isclass)
+               if issubclass(cls, BicavityError)]
+    assert len(classes) >= 8
+    for cls in classes:
+        assert cls.code in ERROR_CODES and cls.code != "ok", cls
+
+
+@pytest.mark.parametrize("error, code", [
+    (DegenerateSteadyStateError, 4),
+    (SteadyStateSolverError, 3),
+    (UndefinedCorrelationError, 1),
+    (BicavityError, 9),
+], ids=["degenerate", "solver", "undefined", "bare"])
+def test_master_equation_error_gives_its_row_code(monkeypatch, error, code):
+    solve = sweep.solve_steady
+
+    def failing_at_resonance(params, *cutoffs):
+        if params.delta == 0.0:
+            raise error("forced failure")
+        return solve(params, *cutoffs)
+
+    monkeypatch.setattr(sweep, "solve_steady", failing_at_resonance)
+    table = run_sweep(small_spec())
+    assert list(table.column("error")) == [0.0, code, 0.0]
+    assert math.isnan(table.rows[1][1])
+
+
+def test_master_equation_programming_error_propagates(monkeypatch):
+    def broken(params, *cutoffs):
+        raise KeyError("bug")
+
+    monkeypatch.setattr(sweep, "solve_steady", broken)
+    with pytest.raises(KeyError, match="bug"):
+        run_sweep(small_spec())
+
+
 def test_mean_field_overflow_is_invalid_point():
     # delta / kappa overflows at the second point
     spec = SweepSpec(
@@ -293,6 +335,28 @@ def test_csv_deterministic(tmp_path):
     emit_csv(run_sweep(small_spec()), p1)
     emit_csv(run_sweep(small_spec()), p2)
     assert p1.read_bytes() == p2.read_bytes()
+
+
+def analytic_csv(path, kappa, values):
+    spec = SweepSpec(
+        base=SystemParams(kappa=kappa, g_a=20.0, g_b=20.0, drive=1.0, gamma_a=1.0),
+        axes=(Axis("delta", values),),
+        outputs=("c1_abs2",),
+    )
+    emit_csv(run_sweep(spec), path)
+    return path.read_bytes()
+
+
+@pytest.mark.parametrize("kappa, values", [
+    (40, (0.0, 1.0)),
+    (np.float64(40.0), (0.0, 1.0)),
+    (40.0, (np.float64(0.0), 1)),
+    (40.0, np.array([0.0, 1.0])),
+    (40.0, np.linspace(-1.0, 1.0, 17)),
+], ids=["int-kappa", "numpy-kappa", "mixed-axis", "array-axis", "linspace-axis"])
+def test_equal_inputs_write_equal_csv_bytes(tmp_path, kappa, values):
+    reference = analytic_csv(tmp_path / "a.csv", 40.0, tuple(float(v) for v in values))
+    assert analytic_csv(tmp_path / "b.csv", kappa, values) == reference
 
 
 def test_csv_empty_table(tmp_path):

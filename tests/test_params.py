@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 
 from bicavity import SystemParams, reference_baseline
@@ -30,9 +31,12 @@ def test_validation():
                 SystemParams(**{"kappa": 1.0, name: value})
 
 
-def test_gamma_total():
-    p = SystemParams(kappa=1.0, gamma_a=1.0, gamma_p=3.0)
-    assert p.gamma_total == 7.0
+def test_fields_are_stored_as_float():
+    p = SystemParams(kappa=40, delta=np.float64(-2.0), g_a=20)
+    assert all(type(getattr(p, name)) is float for name in p.__dataclass_fields__)
+    assert (p.kappa, p.delta, p.g_a) == (40.0, -2.0, 20.0)
+    with pytest.raises(TypeError):
+        SystemParams(kappa="40")
 
 
 def test_reference_baseline():
