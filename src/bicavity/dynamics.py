@@ -35,9 +35,14 @@ keeps k_i and k_j of the vec position (i, j) it acts on, or, for the jumps
 c rho c', lowers both by one, except the drive, which changes one of them by
 one.  So with the coordinates grouped by m = |k_i - k_j| (both slots of a pair
 share one m), L is block tridiagonal over m and every population lies in
-group 0.  OperatorTable.blocks caches the grouping and, for every block
-L[a, b] with |a - b| <= 1, where its entries sit in the table's values; it
-raises if the table holds a term that joins groups further apart.
+group 0.  In group m >= 1, L maps a coherence rho_uv with k_u < k_v only to
+coherences of that orientation or into group 0, so there it is complex-linear
+in z = rho_uv: the real block between two such groups is the realification
+of a complex block of half the size.  OperatorTable.blocks caches the
+grouping, group 0 in real coordinates and the others in complex slots, and
+for every block L[a, b] with |a - b| <= 1 where its entries sit in the
+table's values; it raises if the table holds a term that joins groups
+further apart, or entries between groups m >= 1 that are not complex-linear.
 """
 
 from __future__ import annotations
@@ -125,26 +130,62 @@ class OperatorTable:
     @cached_property
     def blocks(self) -> BlockLayout:
         """The generator cut into blocks by excitation difference, built on first use."""
-        dim = self.space.dim
+        n = self.space.dim**2
         # Total excitation k = n_a + n_b + [emitter excited] of each basis state.
         k = np.rint(np.diag(self.nonhermitian["delta"] + self.nonhermitian["delta_a"])).astype(int)
-        vec = np.arange(dim**2)
-        group = np.abs(k[vec % dim] - k[vec // dim])
-        order = np.argsort(group, kind="stable")
+        vec = np.arange(n)
+        i, j = vec % self.space.dim, vec // self.space.dim
+        transpose = i * self.space.dim + j
+        group = np.abs(k[i] - k[j])
+        # In group m >= 1 the pair of pos(i, j), pos(j, i), i < j, is one complex
+        # slot z = rho_uv with k_u < k_v: Re at pos(i, j), Im at pos(j, i), and
+        # z = Re + i s Im with s = +1 if u < v, that is if k_i < k_j.
+        imag = (group > 0) & (i > j)
+        sign = np.where(k[np.minimum(i, j)] < k[np.maximum(i, j)], 1.0, -1.0)
+        real = np.flatnonzero(~imag)
+        order = real[np.argsort(group[real], kind="stable")]
         bounds = np.searchsorted(group[order], np.arange(group.max() + 2))
         local = np.empty_like(vec)
-        local[order] = vec - bounds[group[order]]
-        rows, cols, _ = self.generator
+        local[order] = np.arange(order.size) - bounds[group[order]]
+        local[imag] = local[transpose[imag]]
+
+        rows, cols, parts = self.generator
         row_group, col_group = group[rows], group[cols]
         if np.any(np.abs(row_group - col_group) > 1):
             raise AssertionError("generator couples groups that differ by more than one")
+        # Between groups m >= 1 the real block is the realification of a complex
+        # one: each entry's twin at the transposed row and column holds the same
+        # coefficients times s_r s_c, negated if just one of them is an Im position.
+        coherent = np.flatnonzero((row_group > 0) & (col_group > 0))
+        key = rows * n + cols
+        twin_key = transpose[rows[coherent]] * n + transpose[cols[coherent]]
+        twin = np.minimum(np.searchsorted(key, twin_key), key.size - 1)
+        ratio = sign[rows[coherent]] * sign[cols[coherent]]
+        ratio[imag[rows[coherent]] != imag[cols[coherent]]] *= -1.0
+        if np.any(key[twin] != twin_key) or not np.array_equal(
+            parts[:, twin], ratio * parts[:, coherent]
+        ):
+            raise AssertionError("generator is not complex-linear on the coherences of groups m >= 1")
+
+        # An entry in an Im row enters the complex block times i s_r, one in an
+        # Im column times -i s_c; the Im columns between groups m >= 1 are the
+        # twins, implied by the rest.  Every block but L[0, 0] is complex, and
+        # flat indexes its float64 view, real and imaginary parts interleaved.
+        twins = (row_group > 0) & imag[cols]
+        factor = np.where(imag[rows], sign[rows], 1.0) * np.where(imag[cols], -sign[cols], 1.0)
+        width = np.diff(bounds)[col_group]
+        flat = local[rows] * width + local[cols]
+        complex_block = (row_group > 0) | (col_group > 0)
+        flat[complex_block] = 2 * flat[complex_block] + (imag[rows] | imag[cols])[complex_block]
         entries = {}
         for a in range(len(bounds) - 1):
             for b in range(max(a - 1, 0), min(a + 2, len(bounds) - 1)):
-                index = np.flatnonzero((row_group == a) & (col_group == b))
-                flat = local[rows[index]] * (bounds[b + 1] - bounds[b]) + local[cols[index]]
-                entries[a, b] = (_frozen(flat), _frozen(index))
-        return BlockLayout(_frozen(order), _frozen(bounds), entries)
+                index = np.flatnonzero((row_group == a) & (col_group == b) & ~twins)
+                entries[a, b] = (_frozen(flat[index]), _frozen(index), _frozen(factor[index]))
+        slots = order[bounds[1] :]
+        return BlockLayout(
+            _frozen(order), _frozen(transpose[slots]), _frozen(sign[slots]), _frozen(bounds), entries
+        )
 
     def values(self, params: SystemParams) -> np.ndarray:
         """Generator entries at the nonzero positions: sum_k theta_k L_k."""
@@ -158,31 +199,57 @@ class OperatorTable:
 
 @dataclass(frozen=True)
 class BlockLayout:
-    """Real coordinates grouped by m = |k_i - k_j| at vec position (i, j).
+    """Coordinates grouped by m = |k_i - k_j| at vec position (i, j).
 
     Only the drive changes a k, and by one, so the generator couples group m
     to groups m - 1, m and m + 1 alone: it is block tridiagonal over m.
+    Group 0 keeps the real coordinates.  In group m >= 1, L maps each
+    coherence rho_uv with k_u < k_v to coherences of that orientation or
+    into group 0, so the group is solved in complex slots z = rho_uv.
 
-    order   -- vec positions sorted by group, stable: group b is
-               order[bounds[b]:bounds[b + 1]], and position 0 leads group 0
-    entries -- (a, b) with |a - b| <= 1 -> (flat index into block L[a, b],
-               index into the table's values)
+    order   -- group 0's vec positions, then each slot's Re position, by
+               group: group b is order[bounds[b]:bounds[b + 1]], and
+               position 0 leads group 0
+    imag    -- Im position of each slot of order[bounds[1]:]
+    sign    -- s of each slot: z = x[Re] + i s x[Im]
+    entries -- (a, b) with |a - b| <= 1 -> (flat index into the float64 view
+               of block L[a, b], index into the table's values, factor +-1)
     """
 
     order: np.ndarray
+    imag: np.ndarray
+    sign: np.ndarray
     bounds: np.ndarray
-    entries: dict[tuple[int, int], tuple[np.ndarray, np.ndarray]]
+    entries: dict[tuple[int, int], tuple[np.ndarray, np.ndarray, np.ndarray]]
 
     def members(self, b: int) -> np.ndarray:
-        """Vec positions of group b, in block order."""
+        """Vec positions of group 0, or the Re positions of group b's slots."""
         return self.order[self.bounds[b] : self.bounds[b + 1]]
 
     def block(self, values: np.ndarray, a: int, b: int) -> np.ndarray:
-        """Dense block L[a, b]: rows of group a, columns of group b."""
-        flat, index = self.entries[a, b]
-        m = np.zeros((self.bounds[a + 1] - self.bounds[a], self.bounds[b + 1] - self.bounds[b]))
-        m.ravel()[flat] = values[index]
+        """Block L[a, b]: rows of group a, columns of group b; complex unless a = b = 0.
+
+        L[0, 1] acts on the slots z of group 1 as z -> Re(L[0, 1] z).
+        """
+        flat, index, factor = self.entries[a, b]
+        shape = (self.bounds[a + 1] - self.bounds[a], self.bounds[b + 1] - self.bounds[b])
+        m = np.zeros(shape, dtype=float if a == b == 0 else complex)
+        m.view(float).ravel()[flat] = factor * values[index]
         return m
+
+    def gather(self, x: np.ndarray) -> list[np.ndarray]:
+        """Each group's part of the real coordinates x: group 0 real, then slots z."""
+        slots = x[self.order[self.bounds[1] :]] + 1j * self.sign * x[self.imag]
+        return [x[self.members(0)], *np.split(slots, self.bounds[2:-1] - self.bounds[1])]
+
+    def scatter(self, parts: list[np.ndarray]) -> np.ndarray:
+        """Real coordinates from each group's part: the inverse of gather."""
+        x = np.empty(self.order.size + self.imag.size)
+        x[self.members(0)] = parts[0]
+        slots = np.concatenate(parts[1:])
+        x[self.order[self.bounds[1] :]] = slots.real
+        x[self.imag] = self.sign * slots.imag
+        return x
 
 
 def _products(left: np.ndarray, right: np.ndarray, coef: complex, dim: int):

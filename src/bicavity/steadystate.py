@@ -3,18 +3,21 @@
 steady_state() solves L[rho] = 0 in the Hermitian real coordinates of
 dynamics.operator_table.  The coordinates fall into groups by the excitation
 difference m = |k_i - k_j| (dynamics.BlockLayout), and only the drive joins
-neighbouring groups, so L is block tridiagonal over m.  The solve eliminates
-the groups from the top down to group 1 by Schur complements, solves group 0
+neighbouring groups, so L is block tridiagonal over m.  Group 0 holds the
+populations and stays real; every other group is solved in complex slots
+z = rho_uv with k_u < k_v, half as many unknowns as its real coordinates.
+The solve eliminates the groups from the top down to group 1 by Schur
+complements, takes the real part of the update into group 0, solves group 0
 with the trace condition in place of the row of rho[0, 0], and
 back-substitutes: in exact arithmetic the same system as one dense LU, at
-about a fifth of its flops, on dense blocks built per point from the table's
-entries.  The elimination does not pivot across groups and loses digits when
-the drive is much larger than kappa, so it is refined with itself: each step
-solves for the correction from the residual of the last, and the first step
-is the plain elimination.  The residual max |L[rho]| is checked after each
-step by a sparse product with the same entries, and refinement stops at a
-step that does not lower it.  rho must be positive semi-definite; a nan
-residual or eigenvalue fails these checks.  A point with
+about a seventh of its flops, on dense blocks built per point from the
+table's entries.  The elimination does not pivot across groups and loses
+digits when the drive is much larger than kappa, so it is refined with
+itself: each step solves for the correction from the residual of the last,
+and the first step is the plain elimination.  The residual max |L[rho]| is
+checked after each step by a sparse product with the same entries, and
+refinement stops at a step that does not lower it.  rho must be positive
+semi-definite; a nan residual or eigenvalue fails these checks.  A point with
 g_a = g_b = gamma_a = 0 is refused before any solve: the emitter is then
 decoupled and undamped, and its populations are conserved.  The observables
 read photon numbers cached in the same table, and g2_zero needs a mean photon
@@ -117,34 +120,34 @@ def steady_state(lv: Superoperator) -> DensityMatrix:
 def _block_solve(layout: BlockLayout, values, trace, rhs) -> np.ndarray:
     """Real coordinates x with L x = rhs except in row 0, where trace @ x = rhs[0].
 
-    Group b's rows read L[b, b-1] x_{b-1} + D_b x_b + L[b, b+1] x_{b+1} = r_b.
-    From the top group down to group 1, x_b = y_b - X_b x_{b-1} with
-    y_b = D_b^-1 r_b and X_b = D_b^-1 L[b, b-1], which turns group b - 1's
-    diagonal block into D_{b-1} = L[b-1, b-1] - L[b-1, b] X_b and its
-    right-hand side into r_{b-1} - L[b-1, b] y_b.  Group 0's block, with the
-    row of vec position 0 replaced by the trace row, then gives x_0.  A group
-    whose right-hand side is zero skips its solve for y_b.
+    Group b's rows read L[b, b-1] x_{b-1} + D_b x_b + L[b, b+1] x_{b+1} = r_b,
+    with x_b and r_b complex slots for b >= 1 and real for group 0.  From the
+    top group down to group 1, x_b = y_b - X_b x_{b-1} with y_b = D_b^-1 r_b
+    and X_b = D_b^-1 L[b, b-1], which turns group b - 1's diagonal block into
+    D_{b-1} = L[b-1, b-1] - L[b-1, b] X_b and its right-hand side into
+    r_{b-1} - L[b-1, b] y_b; into group 0 both updates take the real part.
+    Group 0's block, with the row of vec position 0 replaced by the trace row,
+    then gives x_0.
     """
     top = len(layout.bounds) - 2
     eliminated = [None] * (top + 1)
-    parts = [rhs[layout.members(b)] for b in range(top + 1)]
+    parts = layout.gather(rhs)
     d = layout.block(values, top, top)
     for b in range(top, 0, -1):
-        eliminated[b] = np.linalg.solve(d, layout.block(values, b, b - 1))
+        solved = np.linalg.solve(d, np.column_stack([layout.block(values, b, b - 1), parts[b]]))
+        eliminated[b], parts[b] = solved[:, :-1], solved[:, -1]
         upper = layout.block(values, b - 1, b)
-        if parts[b].any():
-            parts[b] = np.linalg.solve(d, parts[b])
-            parts[b - 1] -= upper @ parts[b]
-        d = layout.block(values, b - 1, b - 1) - upper @ eliminated[b]
+        schur, update = upper @ eliminated[b], upper @ parts[b]
+        if b == 1:  # L[0, 1] acts on group 1's slots z as Re(L[0, 1] z)
+            schur, update = schur.real, update.real
+        d = layout.block(values, b - 1, b - 1) - schur
+        parts[b - 1] -= update
     d[0] = trace[layout.members(0)]
     parts[0][0] = rhs[0]
-    part = np.linalg.solve(d, parts[0])
-    x = np.empty(len(trace))
-    x[layout.members(0)] = part
+    parts[0] = np.linalg.solve(d, parts[0])
     for b in range(1, top + 1):
-        part = parts[b] - eliminated[b] @ part
-        x[layout.members(b)] = part
-    return x
+        parts[b] -= eliminated[b] @ parts[b - 1]
+    return layout.scatter(parts)
 
 
 def _state(table, values, x, trace) -> tuple[np.ndarray, float]:

@@ -165,11 +165,23 @@ def test_dephasing_preserves_trace_and_populations():
     assert out[i, j] == pytest.approx(-2.0 * 2.0 * 0.5, rel=1e-12)
 
 
+def excitations(space) -> np.ndarray:
+    """k = n_a + n_b + [emitter excited] of every basis state."""
+    return np.array([total_excitation(label) for label in space.labels()])
+
+
 def excitation_groups(space) -> np.ndarray:
     """m = |k_i - k_j| of every vec position (i, j)."""
-    k = np.array([total_excitation(label) for label in space.labels()])
+    k = excitations(space)
     vec = np.arange(space.dim**2)
     return np.abs(k[vec % space.dim] - k[vec // space.dim])
+
+
+def twin_entries(table) -> np.ndarray:
+    """Generator entries the layout leaves out: Im columns between groups m >= 1."""
+    group = excitation_groups(table.space)
+    rows, cols, _ = table.generator
+    return np.flatnonzero((group[rows] > 0) & np.isin(cols, table.blocks.imag))
 
 
 def grading_violations(table) -> int:
@@ -186,20 +198,54 @@ def grading_violations(table) -> int:
     return int(np.count_nonzero(far) + np.count_nonzero(others[:, across]))
 
 
-@pytest.mark.parametrize("cutoffs", list(itertools.product((1, 2, 3), repeat=2)))
+CUTOFFS = list(itertools.product((1, 2, 3), repeat=2))
+
+
+@pytest.mark.parametrize("cutoffs", CUTOFFS)
 def test_only_the_drive_joins_neighbouring_groups(cutoffs):
     table = operator_table(build_space(*cutoffs))
     assert grading_violations(table) == 0
-    # The solver's layout: every group in one block, vec position 0 first, and
-    # every generator entry in exactly one block.
+    # The solver's layout: group 0 holds the positions with k_i = k_j, vec
+    # position 0 first; group m >= 1 holds complex slots rho_uv with
+    # k_v - k_u = m, each with a Re and an Im position.
     layout = table.blocks
+    dim = table.space.dim
+    k = excitations(table.space)
     group = excitation_groups(table.space)
-    for b in range(len(layout.bounds) - 1):
-        assert np.all(group[layout.members(b)] == b)
-    assert layout.bounds[-1] == table.space.dim**2
+    assert np.array_equal(np.sort(layout.members(0)), np.flatnonzero(group == 0))
     assert layout.order[0] == 0
-    index = np.concatenate([index for _, index in layout.entries.values()])
+    i, j = layout.order[layout.bounds[1] :] % dim, layout.order[layout.bounds[1] :] // dim
+    assert np.all(i < j)
+    assert np.array_equal(layout.imag, i * dim + j)
+    u, v = np.where(layout.sign > 0, i, j), np.where(layout.sign > 0, j, i)
+    slot_group = np.repeat(np.arange(1, len(layout.bounds) - 1), np.diff(layout.bounds)[1:])
+    assert np.array_equal(k[v] - k[u], slot_group)
+    # Group 0 and the Re and Im positions of the slots cover every position once.
+    positions = np.concatenate([layout.order, layout.imag])
+    assert np.array_equal(np.sort(positions), np.arange(dim**2))
+    # Every generator entry is in exactly one block or is a checked twin.
+    kept = [index for _, index, _ in layout.entries.values()]
+    index = np.concatenate([*kept, twin_entries(table)])
     assert np.array_equal(np.sort(index), np.arange(table.generator[0].size))
+
+
+@pytest.mark.parametrize("cutoffs", CUTOFFS)
+def test_gather_then_scatter_returns_the_coordinates(cutoffs):
+    layout = operator_table(build_space(*cutoffs)).blocks
+    x = np.random.default_rng(sum(cutoffs)).standard_normal(layout.order.size + layout.imag.size)
+    assert np.array_equal(layout.scatter(layout.gather(x)), x)
+
+
+def test_a_twin_that_breaks_complex_linearity_is_caught():
+    table = operator_table(build_space(2, 1))
+    rows, cols, parts = table.generator
+    twin = twin_entries(table)[0]
+    parts = parts.copy()
+    parts[np.flatnonzero(parts[:, twin])[0], twin] *= 1.0 + 1e-9
+    broken = dataclasses.replace(table)
+    vars(broken)["generator"] = (rows, cols, parts)
+    with pytest.raises(AssertionError):
+        broken.blocks
 
 
 def test_a_term_that_breaks_the_grading_is_caught():

@@ -202,8 +202,12 @@ def test_refinement_recovers_a_strong_drive_elimination(g_a, cutoff):
 ], ids=["baseline-cut3", "fig8a-cut4", "fig14b-cut4"])
 def test_a_well_conditioned_point_takes_one_solve(monkeypatch, params, cutoff):
     calls = counted_block_solves(monkeypatch)
-    assert solve_steady(params, cutoff, cutoff).residual <= RESIDUAL_TOL
+    rho = solve_steady(params, cutoff, cutoff)
+    assert rho.residual <= RESIDUAL_TOL
     assert len(calls) == 1
+    space = build_space(cutoff, cutoff)
+    reference = complex_steady_state(kronecker_liouvillian(params, space), space.dim)
+    assert np.max(np.abs(rho.matrix - reference)) <= 1e-12
 
 
 @pytest.mark.parametrize("reported", [
