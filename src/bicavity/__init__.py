@@ -33,14 +33,7 @@ from .fock import (
     emitter_lowering,
     pauli_z,
 )
-from .dynamics import (
-    Superoperator,
-    hamiltonian_eff,
-    liouvillian,
-    nonhermitian_hamiltonian,
-    unvectorize,
-    vectorize,
-)
+from .dynamics import Superoperator, liouvillian
 from .steadystate import (
     DensityMatrix,
     TruncationReport,

@@ -4,7 +4,6 @@ Subcommands:
   spectrum  -- mean-field transmission/reflection vs detuning
   sweep     -- run a custom sweep from an INI config file
   figure    -- run a built-in figure preset
-  check     -- fast self-check of the core numerical invariants
 
 Exit code 0 on success; a package error, ValueError (bad input) or OSError prints
 a JSON error summary to stderr and exits 1, and any other exception propagates.
@@ -18,11 +17,8 @@ import dataclasses
 import json
 import sys
 
-import numpy as np
-
 from .errors import BicavityError
-from .params import SystemParams, reference_baseline
-from .steadystate import check_truncation, g2_zero, solve_steady
+from .params import SystemParams
 from .sweep import (
     FIGURE_NAMES,
     SweepSpec,
@@ -33,9 +29,6 @@ from .sweep import (
     run_sweep,
     value_axis,
 )
-from .weakdrive import c_amplitudes_closed_form, solve_weak_drive
-from .dynamics import liouvillian
-from .fock import build_space
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -66,9 +59,6 @@ def build_parser() -> argparse.ArgumentParser:
     fg.add_argument("--cutoff", type=int, default=None)
     fg.add_argument("--threads", type=int, default=1)
     fg.add_argument("--log10", action="store_true")
-
-    ck = sub.add_parser("check", help="run the fast numerical invariant suite")
-    ck.add_argument("--seed", type=int, default=7)
     return parser
 
 
@@ -102,12 +92,13 @@ def _require(section, *keys) -> None:
 
 
 def _parse_config(path) -> SweepSpec:
-    """The sweep an INI file describes; a malformed file or a missing key is a ValueError."""
+    """The sweep an INI file describes; a malformed file or a missing key is a
+    ValueError, and a file that cannot be read an OSError."""
     cfg = configparser.ConfigParser()
     cfg.read_dict({"base": {}, "sweep": {}})
     try:
-        if not cfg.read(path):
-            raise BicavityError(f"cannot read config file {path}")
+        with open(path, encoding="utf-8") as fh:
+            cfg.read_file(fh)
         for section in cfg.sections():
             if section not in _CONFIG_KEYS:
                 raise ValueError(f"unknown config section [{section}]")
@@ -163,71 +154,12 @@ def _cmd_figure(args) -> int:
     return _finish_sweep(spec, args, args.out or f"{args.name}.csv")
 
 
-def _cmd_check(args) -> int:
-    """Fast battery of the core invariants; prints one line per check."""
-    rng = np.random.default_rng(args.seed)
-    failures = 0
-
-    def report(name: str, ok: bool, detail: str = "") -> None:
-        nonlocal failures
-        failures += not ok
-        print(f"  {'PASS' if ok else 'FAIL'}  {name}" + (f"  ({detail})" if detail else ""))
-
-    space = build_space(2, 2)
-    params = reference_baseline()
-
-    # Lindblad trace preservation on random Hermitian unit-trace inputs.
-    lv = liouvillian(params.replace(gamma_p=0.5), space)
-    worst = 0.0
-    for _ in range(10):
-        x = rng.normal(size=(space.dim, space.dim)) + 1j * rng.normal(size=(space.dim, space.dim))
-        rho = x @ x.conj().T
-        rho /= np.trace(rho)
-        worst = max(worst, abs(np.trace(lv.apply(rho))))
-    report("liouvillian trace preservation", worst < 1e-12, f"max |Tr L[rho]| = {worst:.2e}")
-
-    # Steady-state residual.
-    rho_ss = solve_steady(params, 3, 3)
-    report("steady-state residual", rho_ss.residual <= 1e-10, f"{rho_ss.residual:.2e}")
-
-    # Coherent light from a linear cavity is Poissonian.
-    g2_lin = g2_zero(solve_steady(params.replace(g_a=0.0, g_b=0.0), 3, 3), "ccw")
-    report("linear-cavity g2 = 1", abs(g2_lin - 1.0) <= 1e-3, f"g2 = {g2_lin:.6f}")
-
-    # Closed forms vs the linear system on random draws.
-    worst = 0.0
-    for _ in range(25):
-        p = SystemParams(
-            kappa=float(rng.uniform(1, 60)),
-            delta=float(rng.uniform(-40, 40)),
-            j_coupling=float(rng.uniform(0, 400)),
-            g_a=0.0, g_b=0.0,
-            drive=float(rng.uniform(0.001, 0.02)),
-            gamma_a=float(rng.uniform(0.1, 4)),
-        )
-        g = float(rng.uniform(0, 40))
-        p = p.replace(g_a=g, g_b=g, delta_a=p.delta)
-        amps = solve_weak_drive(p)
-        c1, c2 = c_amplitudes_closed_form(p)
-        worst = max(worst, abs(amps.c_100m - c1) / abs(c1), abs(amps.c_200m - c2) / abs(c2))
-    report("closed form vs linear system", worst <= 1e-10, f"max rel dev = {worst:.2e}")
-
-    # Truncation convergence at the reference drive strength.
-    rep = check_truncation(params, 3)
-    report("truncation convergence (3 vs 4)", rep.converged,
-           f"rel change = {rep.rel_change:.2e}" if rep.rel_change is not None else rep.error or "")
-
-    print(f"{'OK' if failures == 0 else 'FAILED'}: {5 - failures}/5 checks passed")
-    return 0 if failures == 0 else 1
-
-
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     handlers = {
         "spectrum": _cmd_spectrum,
         "sweep": _cmd_sweep,
         "figure": _cmd_figure,
-        "check": _cmd_check,
     }
     try:
         return handlers[args.command](args)

@@ -9,9 +9,8 @@ Conventions
   sigma_z (Pauli, eigenvalues +-1) at rate gamma_p:
       (gamma_p/2) (2 sz rho sz - {sz^2, rho}) = gamma_p (sz rho sz - rho);
   sz^2 = 1, so its part of H_nh is -(i/2) gamma_p on the identity.
-* Superoperators act on column-stacked density matrices,
-  vec(rho)[j*dim + i] = rho[i, j], so vec(A rho B) = kron(B.T, A) vec(rho).
-  pos(i, j) = j*dim + i below is that vec position.
+* The generator's coordinates are indexed by vec position pos(i, j) = j*dim + i,
+  the column-stacked position of rho[i, j].
 
 Affine operator table
 ---------------------
@@ -25,8 +24,6 @@ the table stores L in Hermitian real coordinates: one real slot per vec
 position, with pos(i, j) holding Re rho[i, j] for i <= j and pos(j, i) holding
 Im rho[i, j] for i < j.  There L is a real dim^2 x dim^2 matrix (99 % zeros at cutoff 4)
 kept as one coefficient row per field over a shared list of nonzero positions.
-Because L is complex-linear, this real block also fixes its action on
-non-Hermitian matrices; Superoperator.matrix rebuilds the complex form.
 
 Excitation-difference blocks
 ----------------------------
@@ -66,19 +63,9 @@ from .params import SystemParams
 FIELDS = tuple(f.name for f in fields(SystemParams))
 
 
-def vectorize(rho: np.ndarray) -> np.ndarray:
-    """Column-stack a matrix into a vector."""
-    return np.asarray(rho).flatten(order="F")
-
-
-def unvectorize(vec: np.ndarray, dim: int) -> np.ndarray:
-    """Inverse of vectorize()."""
-    return np.asarray(vec).reshape((dim, dim), order="F")
-
-
 def from_real_coordinates(x: np.ndarray, dim: int) -> np.ndarray:
     """Hermitian matrix whose Hermitian real coordinates are x."""
-    m = unvectorize(x, dim)
+    m = x.reshape((dim, dim), order="F")
     upper, lower = np.triu(m, 1), np.tril(m, -1)
     return np.diag(np.diag(m)) + upper + upper.T + 1j * (lower.T - lower)
 
@@ -312,44 +299,16 @@ def operator_table(space: FockSpace) -> OperatorTable:
 
 @dataclass(frozen=True)
 class Superoperator:
-    """The Lindblad generator at one parameter point, a view over the table."""
+    """The Lindblad generator at one parameter point, as a (params, space) pair.
+
+    Its entries are operator_table(space).values(params).  The pair is
+    steady_state's argument, and perfbench's tracer reads its space.
+    """
 
     params: SystemParams
     space: FockSpace
 
-    @cached_property
-    def matrix(self) -> np.ndarray:
-        """Dense complex dim^2 x dim^2 matrix acting on column-stacked rho."""
-        table = operator_table(self.space)
-        rows, cols, _ = table.generator
-        m = np.zeros((self.space.dim**2,) * 2, dtype=complex)
-        m[rows, cols] = table.values(self.params)
-        # Each off-diagonal pair rho[i, j], rho[j, i] (i < j) has a Re slot u =
-        # pos(i, j) and an Im slot w = pos(j, i).  Columns take the pair to its
-        # slots' complex combinations, rows take the slots back to the pair.
-        i, j = np.triu_indices(self.space.dim, 1)
-        u, w = j * self.space.dim + i, i * self.space.dim + j
-        m[:, u], m[:, w] = 0.5 * (m[:, u] - 1j * m[:, w]), 0.5 * (m[:, u] + 1j * m[:, w])
-        m[u], m[w] = m[u] + 1j * m[w], m[u] - 1j * m[w]
-        return m
-
-    def apply(self, rho: np.ndarray) -> np.ndarray:
-        return unvectorize(self.matrix @ vectorize(rho), self.space.dim)
-
-
-def hamiltonian_eff(params: SystemParams, space: FockSpace) -> np.ndarray:
-    """Rotating-frame Hamiltonian (hbar = 1), H_nh without the jump fields; exactly Hermitian."""
-    table = operator_table(space)
-    coherent = (name for name in table.nonhermitian if name not in table.jumps)
-    return sum(getattr(params, name) * table.nonhermitian[name] for name in coherent).astype(complex)
-
-
-def nonhermitian_hamiltonian(params: SystemParams, space: FockSpace) -> np.ndarray:
-    """H_nh = H - (i/2) sum rate c'c over every jump, dephasing's -(i/2) gamma_p 1 too."""
-    terms = operator_table(space).nonhermitian
-    return sum(getattr(params, name) * h for name, h in terms.items())
-
 
 def liouvillian(params: SystemParams, space: FockSpace) -> Superoperator:
-    """Full Lindblad generator: drho/dt = L[rho]."""
+    """The Lindblad generator of drho/dt = L[rho] at one parameter point."""
     return Superoperator(params, space)

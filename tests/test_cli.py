@@ -173,7 +173,8 @@ def test_missing_config_is_reported(tmp_path, capsys):
     rc = main(["sweep", str(tmp_path / "nope.ini"), "--out", str(tmp_path / "x.csv")])
     assert rc == 1
     err = json.loads(capsys.readouterr().err)
-    assert "error" in err and "message" in err
+    assert err["error"] == "FileNotFoundError"
+    assert "nope.ini" in err["message"]
 
 
 def test_bad_axis_name_is_reported(tmp_path, capsys):
@@ -185,9 +186,3 @@ def test_bad_axis_name_is_reported(tmp_path, capsys):
     assert rc == 1
     assert json.loads(capsys.readouterr().err)["error"] == "ValueError"
 
-
-def test_check_command(capsys):
-    assert main(["check"]) == 0
-    out = capsys.readouterr().out
-    assert out.count("PASS") == 5
-    assert "FAIL" not in out

@@ -34,7 +34,6 @@ from bicavity import (
     emitter_excitation_projector,
     emitter_lowering,
     g2_zero,
-    liouvillian,
     master_equation_g2,
     mean_fields,
     mean_photon,
@@ -44,10 +43,10 @@ from bicavity import (
     solve_steady,
     solve_weak_drive,
     spectrum,
-    unvectorize,
     value_axis,
 )
 from bicavity import sweep
+from bicavity.dynamics import from_real_coordinates, operator_table
 from bicavity.steadystate import PSD_TOL, UNDERFLOW_GUARD
 from bicavity.weakdrive import abs2
 
@@ -80,13 +79,34 @@ def kronecker_liouvillian(p: SystemParams, space) -> np.ndarray:
     )
 
 
+def random_density(rng, dim):
+    """Random density matrix, Hermitian to the last bit."""
+    x = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+    rho = x @ x.conj().T
+    rho = (rho + rho.conj().T) / 2
+    return rho / np.trace(rho).real
+
+
+def real_coordinates(rho: np.ndarray) -> np.ndarray:
+    """Hermitian real coordinates of rho: the inverse of from_real_coordinates."""
+    return (np.triu(rho.real) + np.tril(rho.imag.T, -1)).flatten(order="F")
+
+
+def generator_action(p: SystemParams, space, rho: np.ndarray) -> np.ndarray:
+    """L[rho] for Hermitian rho by the solver's product: the table's sparse
+    matvec on the real coordinates of rho."""
+    table = operator_table(space)
+    x = table.matvec(table.values(p), real_coordinates(rho))
+    return from_real_coordinates(x, space.dim)
+
+
 def complex_steady_state(lmat: np.ndarray, dim: int) -> np.ndarray:
     system = lmat.copy()
     system[0] = 0.0
     system[0, np.arange(dim) * (dim + 1)] = 1.0
     rhs = np.zeros(dim * dim, dtype=complex)
     rhs[0] = 1.0
-    return unvectorize(np.linalg.solve(system, rhs), dim)
+    return np.linalg.solve(system, rhs).reshape((dim, dim), order="F")
 
 
 @st.composite
@@ -137,13 +157,26 @@ def strong_points(draw):
 PROPERTY_SETTINGS = settings(max_examples=40, deadline=None, derandomize=True, database=None)
 
 
-@PROPERTY_SETTINGS
-@given(points())
-def test_table_matches_kronecker_generator(point):
-    p, space = point
+def assert_table_matches_kronecker_generator(p: SystemParams, space, seed: int) -> None:
+    """The solver's product L[rho] against the Kronecker generator on a random
+    Hermitian rho, to 1e-12 of the sum of the magnitudes of each entry's terms."""
     reference = kronecker_liouvillian(p, space)
-    table = liouvillian(p, space).matrix
-    assert np.max(np.abs(table - reference)) <= 1e-12 * np.max(np.abs(reference))
+    rho = random_density(np.random.default_rng(seed), space.dim)
+    vec = rho.flatten(order="F")
+    out = generator_action(p, space, rho).flatten(order="F")
+    assert np.max(np.abs(out - reference @ vec)) <= 1e-12 * np.max(np.abs(reference) @ np.abs(vec))
+
+
+@PROPERTY_SETTINGS
+@given(points(), st.integers(0, 2**32 - 1))
+def test_table_matches_kronecker_generator(point, seed):
+    assert_table_matches_kronecker_generator(*point, seed)
+
+
+@PROPERTY_SETTINGS
+@given(strong_points(), st.integers(0, 2**32 - 1))
+def test_table_matches_kronecker_generator_at_strong_drive(point, seed):
+    assert_table_matches_kronecker_generator(*point, seed)
 
 
 @PROPERTY_SETTINGS
