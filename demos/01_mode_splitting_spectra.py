@@ -17,8 +17,7 @@ print(f"{'J/kappa':>8} {'peak -':>10} {'peak +':>10} {'sqrt(J^2-k^2/4)':>16}")
 for j in (0.6, 0.8, 2.0, 6.0, 12.0):
     params = SystemParams(kappa=KAPPA, j_coupling=j, drive=1.0)
     grid = np.linspace(-2 * max(j, 2.0), 2 * max(j, 2.0), 4001)
-    points = spectrum(params, grid)
-    p_r = np.array([pt.p_r for pt in points])
+    _, p_r, _, _ = spectrum(params, grid)
     half = len(grid) // 2
     left = grid[:half][np.argmax(p_r[:half])]
     right = grid[half:][np.argmax(p_r[half:])]

@@ -53,8 +53,6 @@ from .weakdrive import (
 )
 from .meanfield import (
     ScattererSpec,
-    SpectrumPoint,
-    mean_fields,
     scatterer_coupling,
     spectrum,
 )

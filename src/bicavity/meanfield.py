@@ -27,52 +27,29 @@ def field_means(delta, j_coupling, kappa, drive):
     return drive * (delta - 0.5j * kappa) / denom, -drive * j_coupling / denom
 
 
-def mean_fields(params: SystemParams) -> tuple[complex, complex]:
-    """Steady intracavity means (<a>, <b>) of the g = 0 reduction at one point."""
-    a_mean, b_mean = field_means(params.delta, params.j_coupling, params.kappa, params.drive)
-    return complex(a_mean), complex(b_mean)
-
-
 def normalized_spectrum(delta, j_coupling, kappa):
-    """(p_t, p_r, a_mean, b_mean) elementwise over arrays of delta, J and kappa,
-    each point rescaled to kappa = 1 and unit drive (see SpectrumPoint)."""
+    """(p_t, p_r, a_mean, b_mean) elementwise over arrays of delta, J and kappa:
+    the means of each point rescaled to kappa = 1 and unit drive, and the
+    powers p_t = |i + a_mean|^2 and p_r = |b_mean|^2."""
     a_mean, b_mean = field_means(delta / kappa, j_coupling / kappa, 1.0, 1.0)
     return abs2(1j + a_mean), abs2(b_mean), a_mean, b_mean
 
 
-@dataclass(frozen=True)
-class SpectrumPoint:
-    """Normalized output powers at one detuning.
+def spectrum(params: SystemParams, delta_grid) -> tuple[np.ndarray, ...]:
+    """normalized_spectrum's (p_t, p_r, a_mean, b_mean) over delta_grid at params' J, kappa.
 
-    a_mean and b_mean are the intracavity means per unit drive with kappa = 1;
-    p_t = |i + a_mean|^2 and p_r = |b_mean|^2 hold exactly.
-    """
-
-    delta: float
-    p_t: float
-    p_r: float
-    a_mean: complex
-    b_mean: complex
-
-
-def spectrum(params: SystemParams, delta_grid) -> list[SpectrumPoint]:
-    """Normalized transmission/reflection over a detuning grid.
-
-    delta_grid is in the same frequency unit as params; points are rescaled
-    internally to kappa = 1 so the result is drive-independent.
+    The arrays take the grid's shape (at least 1-D).  delta_grid is in the same
+    frequency unit as params; points are rescaled internally to kappa = 1 so
+    the result is drive-independent.
     """
     grid = np.atleast_1d(np.asarray(delta_grid, dtype=float))
     if grid.size == 0:
         raise ValueError("delta_grid must contain at least one point")
     if not np.isfinite(grid).all():
         raise ValueError("delta_grid must be finite")
-    columns = normalized_spectrum(
+    return normalized_spectrum(
         grid, np.full_like(grid, params.j_coupling), np.full_like(grid, params.kappa)
     )
-    return [
-        SpectrumPoint(float(d), float(p_t), float(p_r), complex(a_mean), complex(b_mean))
-        for d, p_t, p_r, a_mean, b_mean in zip(grid, *columns)
-    ]
 
 
 @dataclass(frozen=True)

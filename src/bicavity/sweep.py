@@ -31,7 +31,8 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import __version__
-from .errors import BicavityError, InvalidTruncationError, SweepError
+from .errors import (AnalyticSingularityError, BicavityError, InvalidTruncationError,
+                     SweepError, UndefinedCorrelationError, WeakDriveDomainError)
 from .dynamics import FIELDS, theta
 from .meanfield import normalized_spectrum
 from .params import SystemParams, check_field, reference_baseline
@@ -242,25 +243,25 @@ def _master_rows(spec: SweepSpec, readers, thetas: np.ndarray, threads: int):
 def _analytic_rows(readers, thetas: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The weak-drive outputs and codes of every row, from stacked solves in this thread.
 
-    Rows outside the domain are invalid points, a row whose residual is not
-    within RESIDUAL_TOL (nan for a singular system) is an analytic
-    singularity, and a nan output marks an undefined correlation; each failed
-    row keeps nan in every weak-drive output.  At most one warning reports
-    the rows whose amplitudes break the weak-drive hierarchy.
+    A failed row keeps nan in every weak-drive output, and its code is that of
+    the error solve_weak_drive or its g2_ccw raises there: out of the domain,
+    a residual above RESIDUAL_TOL (nan if singular), or a nan output.  At most
+    one warning reports the rows whose amplitudes break the weak-drive hierarchy.
     """
     values = np.full((len(thetas), len(readers)), np.nan)
-    codes = np.where(in_domain(thetas), ERROR_CODES["ok"], ERROR_CODES["invalid_point"])
+    codes = np.where(in_domain(thetas), ERROR_CODES["ok"],
+                     ERROR_CODES[WeakDriveDomainError.code])
     solvable = np.flatnonzero(codes == ERROR_CODES["ok"])
     violated = 0
     for start in range(0, solvable.size, _CHUNK):
         rows = solvable[start:start + _CHUNK]
         c, residual = solve_weak_drive_rows(thetas[rows])
         ok = residual <= RESIDUAL_TOL
-        codes[rows[~ok]] = ERROR_CODES["analytic_singularity"]
+        codes[rows[~ok]] = ERROR_CODES[AnalyticSingularityError.code]
         violated += int(np.count_nonzero(hierarchy_violated(c[ok])))
         values[rows[ok]] = np.column_stack([read(c[ok]) for read in readers])
     undefined = (codes == ERROR_CODES["ok"]) & np.isnan(values).any(axis=1)
-    codes[undefined] = ERROR_CODES["undefined_correlation"]
+    codes[undefined] = ERROR_CODES[UndefinedCorrelationError.code]
     values[undefined] = np.nan
     if violated:
         warnings.warn(
@@ -273,6 +274,8 @@ def _analytic_rows(readers, thetas: np.ndarray) -> tuple[np.ndarray, np.ndarray]
 
 def run_sweep(spec: SweepSpec, threads: int = 1) -> ResultTable:
     """Evaluate the sweep grid; deterministic row order (first axis outer)."""
+    if threads < 1:
+        raise ValueError(f"threads must be >= 1, got {threads}")
     points, thetas = _grid(spec)
     values = np.full((len(thetas), len(spec.outputs)), np.nan)
     codes = np.zeros(len(thetas), dtype=int)
@@ -295,7 +298,7 @@ def run_sweep(spec: SweepSpec, threads: int = 1) -> ResultTable:
                 columns = normalized_spectrum(*thetas[live][:, _MEAN_FIELD_COLUMNS].T)
             engine_values = np.column_stack([read(columns) for read in readers])
             unfit = ~np.isfinite(engine_values).all(axis=1)
-            codes[live[unfit]], engine_values[unfit] = ERROR_CODES["invalid_point"], np.nan
+            codes[live[unfit]], engine_values[unfit] = ERROR_CODES[BicavityError.code], np.nan
         values[np.ix_(live, [spec.outputs.index(name) for name in names])] = engine_values
 
     failed = int(np.count_nonzero(codes))

@@ -169,6 +169,15 @@ def test_zero_cutoff_is_reported(tmp_path, capsys, name):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("threads", ["0", "-3"])
+def test_threads_below_one_are_reported(tmp_path, capsys, threads):
+    out = tmp_path / "x.csv"
+    assert main(["figure", "fig7", "--threads", threads, "--out", str(out)]) == 1
+    err = json.loads(capsys.readouterr().err)
+    assert err == {"error": "ValueError", "message": f"threads must be >= 1, got {threads}"}
+    assert not out.exists()
+
+
 def test_missing_config_is_reported(tmp_path, capsys):
     rc = main(["sweep", str(tmp_path / "nope.ini"), "--out", str(tmp_path / "x.csv")])
     assert rc == 1

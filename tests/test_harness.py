@@ -223,8 +223,8 @@ def test_mean_field_overflow_is_invalid_point():
     table = run_sweep(spec)
     assert list(table.column("error")) == [ERROR_CODES["ok"], ERROR_CODES["invalid_point"]]
     assert np.isnan(table.rows[1][1:3]).all()
-    point = spectrum(spec.base, [0.0])[0]
-    assert table.rows[0][1:3] == [point.p_t, point.p_r]
+    p_t, p_r, _, _ = spectrum(spec.base, [0.0])
+    assert table.rows[0][1:3] == [p_t[0], p_r[0]]
 
 
 def test_weak_drive_solved_once_per_point(monkeypatch):
@@ -310,6 +310,12 @@ def test_parallel_matches_serial():
     parallel = run_sweep(spec, threads=4)
     assert serial.rows == parallel.rows
     assert serial.columns == parallel.columns
+
+
+@pytest.mark.parametrize("threads", [0, -3])
+def test_threads_below_one_raise(threads):
+    with pytest.raises(ValueError, match=f"^threads must be >= 1, got {threads}$"):
+        run_sweep(small_spec(), threads=threads)
 
 
 def test_with_log10():

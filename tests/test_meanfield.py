@@ -4,10 +4,10 @@ import pytest
 from bicavity import (
     ScattererSpec,
     SystemParams,
-    mean_fields,
     scatterer_coupling,
     spectrum,
 )
+from bicavity.meanfield import field_means
 
 
 def base(j=0.0, delta=0.0, kappa=40.0, drive=1.0):
@@ -15,7 +15,8 @@ def base(j=0.0, delta=0.0, kappa=40.0, drive=1.0):
 
 
 def test_resonant_empty_cavity():
-    a, b = mean_fields(base())
+    p = base()
+    a, b = field_means(p.delta, p.j_coupling, p.kappa, p.drive)
     assert a == pytest.approx(-2j * 1.0 / 40.0, rel=1e-12)
     assert b == pytest.approx(0.0, abs=1e-15)
 
@@ -29,7 +30,7 @@ def test_fixed_point_residual():
             kappa=rng.uniform(1, 60),
             drive=rng.uniform(0.1, 2.0),
         )
-        a, b = mean_fields(p)
+        a, b = field_means(p.delta, p.j_coupling, p.kappa, p.drive)
         da = -(1j * p.delta + p.kappa / 2.0) * a - 1j * p.j_coupling * b - 1j * p.drive
         db = -(1j * p.delta + p.kappa / 2.0) * b - 1j * p.j_coupling * a
         assert abs(da) < 1e-12 * max(1.0, abs(a))
@@ -39,8 +40,8 @@ def test_fixed_point_residual():
 def test_reflection_symmetry():
     p_plus = base(j=240.0, delta=55.0)
     p_minus = base(j=240.0, delta=-55.0)
-    _, b_plus = mean_fields(p_plus)
-    _, b_minus = mean_fields(p_minus)
+    _, b_plus = field_means(p_plus.delta, p_plus.j_coupling, p_plus.kappa, p_plus.drive)
+    _, b_minus = field_means(p_minus.delta, p_minus.j_coupling, p_minus.kappa, p_minus.drive)
     assert b_plus == pytest.approx(np.conj(b_minus), rel=1e-12)
 
 
@@ -51,8 +52,7 @@ def test_split_peaks_at_plus_minus_j(j_over_kappa):
     j = j_over_kappa * kappa
     peak = np.sqrt(j**2 - kappa**2 / 4.0)
     grid = np.linspace(-2 * j, 2 * j, 4001)
-    pts = spectrum(base(j=j), grid)
-    p_r = np.array([pt.p_r for pt in pts])
+    _, p_r, _, _ = spectrum(base(j=j), grid)
     step = grid[1] - grid[0]
     half = len(grid) // 2
     left = grid[:half][np.argmax(p_r[:half])]
@@ -66,8 +66,7 @@ def test_unresolved_below_half_kappa():
     # J < kappa/2 gives a single unsplit reflection peak at delta = 0
     kappa = 40.0
     grid = np.linspace(-3 * kappa, 3 * kappa, 2001)
-    pts = spectrum(base(j=0.4 * kappa), grid)
-    p_r = np.array([pt.p_r for pt in pts])
+    _, p_r, _, _ = spectrum(base(j=0.4 * kappa), grid)
     interior = (np.diff(np.sign(np.diff(p_r))) < 0).nonzero()[0] + 1
     assert len(interior) == 1
     assert grid[interior[0]] == pytest.approx(0.0, abs=grid[1] - grid[0])
@@ -75,20 +74,35 @@ def test_unresolved_below_half_kappa():
 
 def test_transmission_limits():
     kappa = 40.0
-    pts = spectrum(base(j=240.0), np.array([-500 * kappa, 0.0, 500 * kappa]))
-    assert pts[0].p_t == pytest.approx(1.0, abs=1e-3)
-    assert pts[-1].p_t == pytest.approx(1.0, abs=1e-3)
-    assert all(pt.p_r <= 1.0 + 1e-9 for pt in pts)
+    p_t, p_r, _, _ = spectrum(base(j=240.0), np.array([-500 * kappa, 0.0, 500 * kappa]))
+    assert p_t[0] == pytest.approx(1.0, abs=1e-3)
+    assert p_t[-1] == pytest.approx(1.0, abs=1e-3)
+    assert np.all(p_r <= 1.0 + 1e-9)
 
 
 def test_no_reflection_without_coupling():
-    pts = spectrum(base(j=0.0), np.linspace(-100, 100, 11))
-    assert all(pt.p_r == 0.0 for pt in pts)
+    _, p_r, _, _ = spectrum(base(j=0.0), np.linspace(-100, 100, 11))
+    assert np.all(p_r == 0.0)
 
 
 def test_empty_grid_rejected():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="at least one point"):
         spectrum(base(), np.array([]))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_grid_rejected(bad):
+    with pytest.raises(ValueError, match="finite"):
+        spectrum(base(), np.array([-1.0, bad, 1.0]))
+
+
+def test_spectrum_arrays_take_the_grid_shape():
+    grid = np.linspace(-80.0, 80.0, 12).reshape(3, 4)
+    p_t, p_r, a_mean, b_mean = spectrum(base(j=60.0), grid)
+    for column in (p_t, p_r, a_mean, b_mean):
+        assert column.shape == grid.shape
+    np.testing.assert_allclose(p_t, np.abs(1j + a_mean) ** 2, rtol=1e-14)
+    np.testing.assert_allclose(p_r, np.abs(b_mean) ** 2, rtol=1e-14)
 
 
 def test_scatterer_polarizability_scaling():

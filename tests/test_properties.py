@@ -6,7 +6,7 @@ generator assembled from Kronecker products of the full operators, and its
 steady state from a dense complex solve with the trace condition in place of
 the first row.  The reference for an analytic sweep is a loop of
 solve_weak_drive calls, one per grid point; for a mean-field sweep it is
-spectrum() and mean_fields at each point.  Two limits of the steady state are
+spectrum() and field_means at each point.  Two limits of the steady state are
 checked too: the cw mode stays empty without J and g_b, and at gamma_p = 0 the
 g2 of the master equation tends to the weak-drive g2 as the drive falls.
 """
@@ -35,7 +35,6 @@ from bicavity import (
     emitter_lowering,
     g2_zero,
     master_equation_g2,
-    mean_fields,
     mean_photon,
     pauli_z,
     reference_baseline,
@@ -46,7 +45,8 @@ from bicavity import (
     value_axis,
 )
 from bicavity import sweep
-from bicavity.dynamics import from_real_coordinates, operator_table
+from bicavity.dynamics import from_real_coordinates, operator_table, theta
+from bicavity.meanfield import field_means
 from bicavity.steadystate import PSD_TOL, UNDERFLOW_GUARD
 from bicavity.weakdrive import abs2
 
@@ -361,6 +361,40 @@ def test_analytic_sweep_matches_point_by_point(drawn):
 
 
 @st.composite
+def analytic_rows(draw):
+    """One weak-drive parameter row: gamma_p = 0 or > 0, sometimes no drive, and
+    sometimes an emitter with no coupling, width or detuning (a singular system)."""
+    singular = draw(st.booleans())
+    return SystemParams(
+        kappa=draw(st.floats(1.0, 60.0)),
+        delta=draw(st.floats(-120.0, 120.0)),
+        delta_a=0.0 if singular else draw(st.floats(-80.0, 80.0)),
+        j_coupling=draw(st.floats(0.0, 400.0)),
+        g_a=0.0 if singular else draw(st.floats(0.0, 80.0)),
+        g_b=0.0 if singular else draw(st.floats(0.0, 80.0)),
+        drive=draw(st.sampled_from([1.0, 0.1, 0.0])),
+        gamma_a=0.0 if singular else draw(st.sampled_from([1.0, 2.5, 0.0])),
+        gamma_p=draw(st.sampled_from([0.0, 0.0, 2.0])),
+    )
+
+
+@settings(PROPERTY_SETTINGS, max_examples=100)
+@given(analytic_rows())
+def test_analytic_row_code_names_the_single_point_error(p):
+    # A one-row run_sweep that fails raises SweepError, so the engine is read directly.
+    read_g2 = sweep._OUTPUTS["g2_analytic"][1]
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # the hierarchy warning at drive 1
+        values, codes = sweep._analytic_rows([read_g2], theta(p)[None])
+        try:
+            g2, code = solve_weak_drive(p).g2_ccw, ERROR_CODES["ok"]
+        except BicavityError as e:
+            g2, code = math.nan, ERROR_CODES[type(e).code]
+    assert codes.tolist() == [code]
+    assert values[0, 0] == g2 or (math.isnan(values[0, 0]) and math.isnan(g2))
+
+
+@st.composite
 def mean_field_sweeps(draw):
     """1-D and 2-D mean-field sweeps over kappa, J and delta."""
     values = {
@@ -395,15 +429,13 @@ def test_mean_field_sweep_matches_spectrum(spec):
     points = itertools.product(*(axis.values for axis in spec.axes))
     for row, point in zip(table.rows, points, strict=True):
         p = spec.base.replace(**{axis.name: v for axis, v in zip(spec.axes, point)})
-        expected = spectrum(p, [p.delta])[0]
-        a_mean, b_mean = mean_fields(
-            SystemParams(kappa=1.0, delta=p.delta / p.kappa, j_coupling=p.j_coupling / p.kappa,
-                         drive=1.0)
-        )
+        p_t, p_r, _, _ = spectrum(p, [p.delta])
+        expected = {"p_t": p_t[0], "p_r": p_r[0]}
+        a_mean, b_mean = field_means(p.delta / p.kappa, p.j_coupling / p.kappa, 1.0, 1.0)
         powers = {"p_t": abs(1j + a_mean) ** 2, "p_r": abs(b_mean) ** 2}
         assert row[-1] == ERROR_CODES["ok"]
         for got, name in zip(row[width:-1], spec.outputs, strict=True):
-            assert got == getattr(expected, name)
+            assert got == expected[name]
             assert math.isclose(got, powers[name], rel_tol=1e-12)
 
 

@@ -9,11 +9,11 @@ from bicavity import (
     g2_closed_form,
     g2_ratio_asymptotic,
     master_equation_g2,
-    mean_fields,
     reference_baseline,
     solve_weak_drive,
 )
 from bicavity.dynamics import theta
+from bicavity.meanfield import field_means
 from bicavity.weakdrive import RESIDUAL_TOL, g2_driven, solve_weak_drive_rows
 
 # frozen reference values for the baseline point (kappa=40, g=20, eps=1, gamma_a=1)
@@ -131,13 +131,13 @@ def test_drive_scaling():
         assert a2.g2_ccw == pytest.approx(a1.g2_ccw, rel=1e-9)
 
 
-def test_empty_cavity_amplitudes_are_mean_fields():
+def test_empty_cavity_amplitudes_are_field_means():
     # with g = 0 the ansatz is exact and its singles are the mean fields <a>, <b>
     rng = np.random.default_rng(13)
     for _ in range(20):
         p = random_params(rng).replace(g_a=0.0, g_b=0.0)
         amps = solve_weak_drive(p)
-        a_mean, b_mean = mean_fields(p)
+        a_mean, b_mean = field_means(p.delta, p.j_coupling, p.kappa, p.drive)
         assert amps.c_100m == pytest.approx(a_mean, rel=1e-12)
         assert amps.c_010m == pytest.approx(b_mean, rel=1e-12)
 
