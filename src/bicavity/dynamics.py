@@ -40,6 +40,8 @@ grouping, group 0 in real coordinates and the others in complex slots, and
 for every block L[a, b] with |a - b| <= 1 where its entries sit in the
 table's values; it raises if the table holds a term that joins groups
 further apart, or entries between groups m >= 1 that are not complex-linear.
+On a space that caps the excitation (fock.FockSpace.max_excitation) all of
+this holds on the kept kets, and the vacuum still leads group 0.
 """
 
 from __future__ import annotations

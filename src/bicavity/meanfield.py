@@ -40,16 +40,27 @@ def spectrum(params: SystemParams, delta_grid) -> tuple[np.ndarray, ...]:
 
     The arrays take the grid's shape (at least 1-D).  delta_grid is in the same
     frequency unit as params; points are rescaled internally to kappa = 1 so
-    the result is drive-independent.
+    the result is drive-independent.  A grid point where delta / kappa
+    overflows, or a point whose J / kappa does, is a ValueError.
     """
     grid = np.atleast_1d(np.asarray(delta_grid, dtype=float))
     if grid.size == 0:
         raise ValueError("delta_grid must contain at least one point")
     if not np.isfinite(grid).all():
         raise ValueError("delta_grid must be finite")
-    return normalized_spectrum(
-        grid, np.full_like(grid, params.j_coupling), np.full_like(grid, params.kappa)
-    )
+    with np.errstate(over="ignore"):
+        overflow = ~np.isfinite(grid / params.kappa)
+        j_overflow = not np.isfinite(np.float64(params.j_coupling) / params.kappa)
+    if overflow.any():
+        raise ValueError(f"delta / kappa overflows at delta_grid points {grid[overflow].tolist()}")
+    if j_overflow:
+        raise ValueError(f"J / kappa overflows at J = {params.j_coupling!r}, kappa = {params.kappa!r}")
+    # A finite delta / kappa may still overflow the square in field_means; the
+    # infinite denominator then gives the far-detuned limit p_t = 1, p_r = 0.
+    with np.errstate(over="ignore"):
+        return normalized_spectrum(
+            grid, np.full_like(grid, params.j_coupling), np.full_like(grid, params.kappa)
+        )
 
 
 @dataclass(frozen=True)

@@ -22,6 +22,11 @@ g_a = g_b = gamma_a = 0 is refused before any solve: the emitter is then
 decoupled and undamped, and its populations are conserved.  The observables
 read photon numbers cached in the same table, and g2_zero needs a mean photon
 number above UNDERFLOW_GUARD.
+
+The space may cap the total excitation (fock.FockSpace.max_excitation): the
+solve is then the same on the generator restricted to the kept kets, whose
+vacuum still leads group 0.  solve_steady takes the cap; without one it, and
+master_equation_g2 and check_truncation, solve on the full box.
 """
 
 from __future__ import annotations
@@ -185,9 +190,12 @@ def g2_zero(rho: DensityMatrix, mode: str) -> float:
     return float(two / n**2)
 
 
-def solve_steady(params: SystemParams, n_a_max: int = 4, n_b_max: int = 4) -> DensityMatrix:
-    """Convenience: build the space, then solve."""
-    return steady_state(Superoperator(params, build_space(n_a_max, n_b_max)))
+def solve_steady(
+    params: SystemParams, n_a_max: int = 4, n_b_max: int = 4, max_excitation: int | None = None
+) -> DensityMatrix:
+    """Convenience: build the space, then solve.  max_excitation keeps only the
+    kets with at most that many excitations (fock.FockSpace); None is the box."""
+    return steady_state(Superoperator(params, build_space(n_a_max, n_b_max, max_excitation)))
 
 
 def master_equation_g2(

@@ -15,6 +15,16 @@ thread pool, in the same row order.  Two threads measured 0.99x the
 one-thread speed; the pool stays because the benchmark in perfbench/ passes
 threads=.
 
+At cutoff N >= 4 a master-equation point first climbs a ladder of smaller
+solves (_ladder): level K = 3, 4, ..., N keeps only the kets with at most K
+excitations (fock.FockSpace's cap), and level K >= 4 is accepted when every
+requested output is within LADDER_RTOL of level K - 1.  A point that no level
+decides, or where a level raises a package error or reads a non-finite
+output, is solved on the full box, which alone decides error codes.  Below
+cutoff 4 no level can be checked and every point goes to the box.  Every
+solve goes through this module's solve_steady, with positional arguments,
+and the metadata line master_levels counts the points each level decided.
+
 Axis names are SystemParams fields plus two aliases:
   * "g"      sets g_a and g_b together,
   * "delta"  also sets delta_a when the sweep ties the emitter to the cavity.
@@ -25,6 +35,7 @@ from __future__ import annotations
 
 import math
 import warnings
+from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 
@@ -80,6 +91,12 @@ ERROR_CODES = {
     "degenerate_steady_state": 4,
     "invalid_point": 9,
 }
+# Master-equation ladder (_ladder): excitation caps LADDER_START, ..., cutoff,
+# each checked against the one below to LADDER_RTOL (relative).  The
+# master_levels metadata names the full-box fallback BOX_LEVEL.
+LADDER_START = 3
+LADDER_RTOL = 1e-6
+BOX_LEVEL = "box"
 # Rows per stacked weak-drive solve.  A chunk's work arrays take a few MB; one
 # stack of a whole 201 x 201 scan would take about 50 MB.
 _CHUNK = 1024
@@ -210,34 +227,71 @@ def _grid(spec: SweepSpec) -> tuple[np.ndarray, np.ndarray]:
     return points, thetas
 
 
+def _ladder(params: SystemParams, cutoff: int, readers):
+    """(level, outputs, residual) of the first capped level K that agrees with
+    level K - 1, or None: the row then needs the box.
+
+    Levels K = LADDER_START, ..., cutoff solve on the kets with at most K
+    excitations.  Level K is accepted when every output is within LADDER_RTOL
+    of level K - 1, relative to its own value.  A level that raises a package
+    error or reads a non-finite output ends the ladder, so the box alone
+    decides a row's error code.
+    """
+    if cutoff <= LADDER_START:
+        return None
+    previous = None
+    for level in range(LADDER_START, cutoff + 1):
+        try:
+            rho = solve_steady(params, cutoff, cutoff, level)
+            out = [read(rho) for read in readers]
+        except BicavityError:
+            return None
+        if not all(math.isfinite(v) for v in out):
+            return None
+        if previous is not None and all(
+            abs(v - w) <= LADDER_RTOL * abs(v) for v, w in zip(out, previous)
+        ):
+            return level, out, rho.residual
+        previous = out
+    return None
+
+
 def _master_rows(spec: SweepSpec, readers, thetas: np.ndarray, threads: int):
     """Solve the master equation point by point and read its outputs.
 
-    Returns (values (n, outputs), codes (n,), residuals); on failure a point
-    keeps the outputs read so far and nan for the rest.
+    Each point runs the ladder first and falls back to the box.  Returns
+    (values (n, outputs), codes (n,), residuals, levels): on failure a point
+    keeps the outputs read so far and nan for the rest, and levels counts the
+    points decided at each accepted ladder level and at the box (BOX_LEVEL).
     """
 
     def work(row):
+        params = SystemParams(*row.tolist())
+        accepted = _ladder(params, spec.cutoff, readers)
+        if accepted is not None:
+            level, out, residual = accepted
+            return out, ERROR_CODES["ok"], residual, level
         out = [math.nan] * len(readers)
         residual = math.nan
         try:
-            rho = solve_steady(SystemParams(*row.tolist()), spec.cutoff, spec.cutoff)
+            rho = solve_steady(params, spec.cutoff, spec.cutoff)
             residual = rho.residual
             for k, read in enumerate(readers):
                 out[k] = read(rho)
         except BicavityError as exc:
-            return out, ERROR_CODES[exc.code], residual
-        return out, ERROR_CODES["ok"], residual
+            return out, ERROR_CODES[exc.code], residual, BOX_LEVEL
+        return out, ERROR_CODES["ok"], residual, BOX_LEVEL
 
     if threads > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
             results = list(pool.map(work, thetas))
     else:
         results = [work(row) for row in thetas]
-    values = np.array([out for out, _, _ in results], dtype=float).reshape(len(thetas), -1)
-    codes = np.array([code for _, code, _ in results], dtype=int)
-    residuals = [r for _, _, r in results if not math.isnan(r)]
-    return values, codes, residuals
+    values = np.array([out for out, _, _, _ in results], dtype=float).reshape(len(thetas), -1)
+    codes = np.array([code for _, code, _, _ in results], dtype=int)
+    residuals = [r for _, _, r, _ in results if not math.isnan(r)]
+    levels = Counter(level for _, _, _, level in results)
+    return values, codes, residuals, levels
 
 
 def _analytic_rows(readers, thetas: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -280,6 +334,7 @@ def run_sweep(spec: SweepSpec, threads: int = 1) -> ResultTable:
     values = np.full((len(thetas), len(spec.outputs)), np.nan)
     codes = np.zeros(len(thetas), dtype=int)
     residuals = []
+    levels = None
     plan: dict[str, list[str]] = {}
     for name, (engine, _) in _OUTPUTS.items():
         if name in spec.outputs:
@@ -288,7 +343,7 @@ def run_sweep(spec: SweepSpec, threads: int = 1) -> ResultTable:
         live = np.flatnonzero(codes == ERROR_CODES["ok"])
         readers = [_OUTPUTS[name][1] for name in names]
         if engine == "master_equation":
-            engine_values, codes[live], residuals = _master_rows(
+            engine_values, codes[live], residuals, levels = _master_rows(
                 spec, readers, thetas[live], threads
             )
         elif engine == "analytic":
@@ -306,11 +361,11 @@ def run_sweep(spec: SweepSpec, threads: int = 1) -> ResultTable:
         raise SweepError("every grid point of the sweep failed")
     columns = [axis.name for axis in spec.axes] + list(spec.outputs) + ["error"]
     rows = np.column_stack([points, values, codes]).tolist()
-    metadata = _metadata(spec, len(rows), failed, residuals)
+    metadata = _metadata(spec, len(rows), failed, residuals, levels)
     return ResultTable(columns, rows, metadata)
 
 
-def _metadata(spec: SweepSpec, total: int, failed: int, residuals) -> dict[str, str]:
+def _metadata(spec: SweepSpec, total: int, failed: int, residuals, levels) -> dict[str, str]:
     md = {
         "tool": "bicavity",
         "version": __version__,
@@ -332,6 +387,9 @@ def _metadata(spec: SweepSpec, total: int, failed: int, residuals) -> dict[str, 
     md["points_total"] = str(total)
     md["points_failed"] = str(failed)
     md["max_residual"] = repr(max(residuals)) if residuals else "nan"
+    if levels is not None and spec.cutoff > LADDER_START:
+        decided = [*range(LADDER_START + 1, spec.cutoff + 1), BOX_LEVEL]
+        md["master_levels"] = ";".join(f"{level}:{levels[level]}" for level in decided)
     md["error_codes"] = ";".join(f"{v}={k}" for k, v in ERROR_CODES.items())
     return md
 

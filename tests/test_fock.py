@@ -97,3 +97,72 @@ def test_factors_commute():
     sm = emitter_lowering(space)
     for x, y in [(a, b), (a, sm), (b, sm), (a, b.conj().T), (b, sm.conj().T)]:
         assert np.max(np.abs(x @ y - y @ x)) < 1e-13
+
+
+def excitations(space, flat):
+    n_a, n_b, i = space.label(flat)
+    return n_a + n_b + (i == "+")
+
+
+@pytest.mark.parametrize("na,nb,cap,dim", [
+    (4, 4, 1, 4), (4, 4, 3, 16), (4, 4, 4, 25), (2, 3, 2, 9),
+])
+def test_capped_index_label_round_trip(na, nb, cap, dim):
+    space = build_space(na, nb, cap)
+    box = build_space(na, nb)
+    assert space.dim == dim
+    kept = [label for label in box.labels() if label[0] + label[1] + (label[2] == "+") <= cap]
+    assert space.labels() == kept  # box order, kept kets only
+    for flat, label in enumerate(kept):
+        assert space.index(*label) == flat
+        assert space.label(flat) == label
+    with pytest.raises(IndexError):
+        space.label(dim)
+    over = next(label for label in box.labels() if label not in kept)
+    with pytest.raises(IndexError, match="excitations"):
+        space.index(*over)
+
+
+@pytest.mark.parametrize("make", [
+    lambda s: annihilator(s, "ccw"),
+    lambda s: annihilator(s, "cw"),
+    emitter_lowering,
+    emitter_excitation_projector,
+    pauli_z,
+], ids=["a", "b", "sigma_minus", "projector", "pauli_z"])
+@pytest.mark.parametrize("cap", [1, 3, 4, 6])
+def test_capped_operators_are_box_operators_restricted(make, cap):
+    box, space = build_space(4, 3), build_space(4, 3, cap)
+    kept = [box.index(*label) for label in space.labels()]
+    assert np.array_equal(make(space), make(box)[np.ix_(kept, kept)])
+    assert space.index(0, 0, "-") == 0  # the vacuum still leads
+
+
+def test_capped_lowering_keeps_the_kept_kets():
+    # a'a, a'b, ... of restricted operators equal the restricted box products
+    box, space = build_space(3, 3), build_space(3, 3, 3)
+    kept = [box.index(*label) for label in space.labels()]
+    ops = [annihilator(space, "ccw"), annihilator(space, "cw"), emitter_lowering(space)]
+    box_ops = [annihilator(box, "ccw"), annihilator(box, "cw"), emitter_lowering(box)]
+    for x, bx in zip(ops, box_ops):
+        for y, by in zip(ops, box_ops):
+            assert np.array_equal(x.conj().T @ y, (bx.conj().T @ by)[np.ix_(kept, kept)])
+    assert all(excitations(space, k) <= 3 for k in range(space.dim))
+
+
+@pytest.mark.parametrize("na,nb", [(2, 2), (4, 4), (2, 3)])
+def test_cap_above_every_ket_is_the_box(na, nb):
+    box = build_space(na, nb)
+    for cap in (na + nb + 1, na + nb + 5):
+        space = build_space(na, nb, cap)
+        assert space == box and hash(space) == hash(box)
+        assert space.max_excitation is None
+        assert space.dim == box.dim and space.labels() == box.labels()
+        assert np.array_equal(annihilator(space, "ccw"), annihilator(box, "ccw"))
+    assert build_space(na, nb, na + nb).dim == box.dim - 1  # only |na, nb, +> goes
+
+
+@pytest.mark.parametrize("cap", [0, -1])
+def test_cap_below_one_rejected(cap):
+    with pytest.raises(InvalidTruncationError, match="excitation cap"):
+        build_space(2, 2, cap)

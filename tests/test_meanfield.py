@@ -96,6 +96,20 @@ def test_non_finite_grid_rejected(bad):
         spectrum(base(), np.array([-1.0, bad, 1.0]))
 
 
+def test_overflowing_grid_point_rejected():
+    # delta / kappa overflows at 1e300 only; run_sweep tags that point invalid_point
+    params = SystemParams(kappa=1e-10, j_coupling=1.0, drive=1.0)
+    with pytest.raises(ValueError, match=r"delta / kappa overflows .*\[1e\+300, -1e\+300\]"):
+        spectrum(params, [0.0, 1e300, 1.0, -1e300])
+    p_t, p_r, _, _ = spectrum(params, [0.0, 1e250])
+    assert np.isfinite(p_t).all() and np.isfinite(p_r).all()
+
+
+def test_overflowing_coupling_rejected():
+    with pytest.raises(ValueError, match="J / kappa overflows"):
+        spectrum(SystemParams(kappa=1e-10, j_coupling=1e300, drive=1.0), [0.0])
+
+
 def test_spectrum_arrays_take_the_grid_shape():
     grid = np.linspace(-80.0, 80.0, 12).reshape(3, 4)
     p_t, p_r, a_mean, b_mean = spectrum(base(j=60.0), grid)

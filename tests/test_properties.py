@@ -8,7 +8,10 @@ the first row.  The reference for an analytic sweep is a loop of
 solve_weak_drive calls, one per grid point; for a mean-field sweep it is
 spectrum() and field_means at each point.  Two limits of the steady state are
 checked too: the cw mode stays empty without J and g_b, and at gamma_p = 0 the
-g2 of the master equation tends to the weak-drive g2 as the drive falls.
+g2 of the master equation tends to the weak-drive g2 as the drive falls.  The
+reference for a master-equation sweep row is solve_steady's box at the same
+cutoff: a row the excitation-capped ladder accepts is within its tolerance,
+and any other row is the box's bit for bit.
 """
 
 import dataclasses
@@ -25,6 +28,7 @@ from hypothesis import strategies as st
 from bicavity import (
     ERROR_CODES,
     BicavityError,
+    DegenerateSteadyStateError,
     SteadyStateSolverError,
     SweepSpec,
     SystemParams,
@@ -474,3 +478,106 @@ def test_master_equation_failure_leaves_analytic_cells_nan(monkeypatch):
     assert list(table.column("error")) == [0.0, ERROR_CODES["solver_failure"], 0.0]
     assert np.isnan(table.rows[1][1:4]).all()
     assert not np.isnan(np.array(table.rows[0] + table.rows[2])).any()
+
+
+LADDER_OUTPUTS = ("n_ccw", "n_cw", "g2_ccw", "g2_cw")
+
+
+@st.composite
+def ladder_points(draw):
+    """Cutoff-4 points from weak to strong drive, with and without dephasing,
+    J or g_b: rows the ladder accepts, rows it sends to the box, and rows
+    whose cw g2 is undefined."""
+    kappa = draw(st.floats(1.0, 100.0))
+    return SystemParams(
+        kappa=kappa,
+        delta=kappa * draw(st.floats(-3.0, 3.0)),
+        delta_a=kappa * draw(st.floats(-3.0, 3.0)),
+        j_coupling=kappa * draw(st.floats(0.0, 40.0)),
+        g_a=kappa * draw(st.floats(0.05, 1.5)),
+        g_b=kappa * draw(st.floats(0.0, 1.5)),
+        drive=kappa * 10.0 ** draw(st.floats(-3.0, 0.0)),
+        gamma_a=draw(st.floats(0.1, 10.0)),
+        gamma_p=draw(st.one_of(st.just(0.0), st.floats(0.0, 20.0))),
+    )
+
+
+def master_row(p: SystemParams, outputs=LADDER_OUTPUTS):
+    """The point's cutoff-4 master-equation row as a sweep decides it: (outputs, code, level)."""
+    spec = SweepSpec(base=p, axes=(value_axis("kappa", [p.kappa]),), outputs=outputs)
+    readers = [sweep._OUTPUTS[name][1] for name in outputs]
+    values, codes, _, levels = sweep._master_rows(spec, readers, theta(p)[None], threads=1)
+    (level,) = levels
+    return values[0].tolist(), int(codes[0]), level
+
+
+def box_row(p: SystemParams):
+    """The point's outputs and code from solve_steady's cutoff-4 box, read in sweep order."""
+    out = [math.nan] * len(LADDER_OUTPUTS)
+    try:
+        rho = solve_steady(p, 4, 4)
+        for k, name in enumerate(LADDER_OUTPUTS):
+            out[k] = sweep._OUTPUTS[name][1](rho)
+    except BicavityError as e:
+        return out, ERROR_CODES[type(e).code]
+    return out, ERROR_CODES["ok"]
+
+
+def same(got, want) -> bool:
+    return all(a == b or (math.isnan(a) and math.isnan(b)) for a, b in zip(got, want, strict=True))
+
+
+@settings(PROPERTY_SETTINGS, max_examples=60)
+@given(ladder_points())
+def test_ladder_row_matches_the_box(p):
+    out, code, level = master_row(p)
+    want, want_code = box_row(p)
+    assert code == want_code
+    if level == sweep.BOX_LEVEL:
+        assert same(out, want)
+    else:
+        assert level == 4 and code == ERROR_CODES["ok"]
+        for got, ref in zip(out, want, strict=True):
+            assert abs(got - ref) <= sweep.LADDER_RTOL * abs(ref)
+
+
+@settings(PROPERTY_SETTINGS, max_examples=30)
+@given(ladder_points(), st.sampled_from([3, 4]), st.sampled_from(
+    [SteadyStateSolverError, DegenerateSteadyStateError, UndefinedCorrelationError]))
+def test_ladder_level_that_raises_sends_the_row_to_the_box(p, failing, error):
+    calls = []
+    solve = sweep.solve_steady
+
+    def failing_at_level(params, *cutoffs, **kwargs):
+        calls.append((cutoffs, kwargs))
+        if cutoffs[2:] == (failing,):
+            raise error("forced failure")
+        return solve(params, *cutoffs)
+
+    with mock.patch.object(sweep, "solve_steady", failing_at_level):
+        out, code, level = master_row(p)
+    want, want_code = box_row(p)
+    assert level == sweep.BOX_LEVEL
+    assert code == want_code and same(out, want)
+    # every solve, capped or box, goes positionally through sweep.solve_steady
+    # and the ladder stops at the failing level, or earlier at an undefined output
+    capped = [c for c, _ in calls[:-1]]
+    assert calls[-1] == ((4, 4), {})
+    assert 1 <= len(capped) <= failing - 2
+    assert capped == [(4, 4, k) for k in range(3, 3 + len(capped))]
+
+
+def test_ladder_levels_are_counted_in_the_metadata():
+    spec = SweepSpec(
+        base=reference_baseline(),
+        axes=(value_axis("drive", [0.1, 1.0, 30.0]),),
+        outputs=("g2_ccw",),
+    )
+    drives = spec.axes[0].values
+    levels = [master_row(spec.base.replace(drive=d), spec.outputs)[2] for d in drives]
+    assert levels == [4, sweep.BOX_LEVEL, sweep.BOX_LEVEL]
+    table = run_sweep(spec)
+    assert table.metadata["master_levels"] == "4:1;box:2"
+    assert list(table.metadata)[-1] == "error_codes"
+    cut3 = run_sweep(dataclasses.replace(spec, cutoff=3))
+    assert "master_levels" not in cut3.metadata  # no ladder below cutoff 4
