@@ -136,7 +136,7 @@ def _finish_sweep(spec: SweepSpec, args, out_path) -> int:
     if args.cutoff is not None:
         spec = dataclasses.replace(spec, cutoff=args.cutoff)
     table = run_sweep(spec, threads=args.threads)
-    if getattr(args, "log10", False):
+    if args.log10:
         g2_cols = [c for c in table.columns if c.startswith("g2")]
         table = table.with_log10(g2_cols)
     emit_csv(table, out_path)

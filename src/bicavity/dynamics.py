@@ -27,7 +27,8 @@ kept as one coefficient row per field over a shared list of nonzero positions.
 
 Excitation-difference blocks
 ----------------------------
-Let k = n_a + n_b + [emitter excited] of each basis state.  Every term of L
+Let k be the total excitation n_a + n_b + [emitter excited] of each basis
+state, as the space states it (fock.FockSpace.excitations).  Every term of L
 keeps k_i and k_j of the vec position (i, j) it acts on, or, for the jumps
 c rho c', lowers both by one, except the drive, which changes one of them by
 one.  So with the coordinates grouped by m = |k_i - k_j| (both slots of a pair
@@ -120,8 +121,7 @@ class OperatorTable:
     def blocks(self) -> BlockLayout:
         """The generator cut into blocks by excitation difference, built on first use."""
         n = self.space.dim**2
-        # Total excitation k = n_a + n_b + [emitter excited] of each basis state.
-        k = np.rint(np.diag(self.nonhermitian["delta"] + self.nonhermitian["delta_a"])).astype(int)
+        k = self.space.excitations
         vec = np.arange(n)
         i, j = vec % self.space.dim, vec // self.space.dim
         transpose = i * self.space.dim + j

@@ -1,19 +1,20 @@
 """Truncated composite Hilbert space: two bosonic modes and one two-level emitter.
 
-Basis ordering is row-major over (n_a, n_b, i) with the emitter index i
-fastest, i = '-' (ground) before i = '+' (excited):
+A space is one table of its kets (n_a, n_b, e), e = 0 for the ground emitter
+state '-' and 1 for the excited '+'.  The box (no cap) holds every ket below
+the photon cutoffs, row-major over (n_a, n_b, e) with e fastest:
 
-    flat = (n_a * (n_b_max + 1) + n_b) * 2 + (0 if i == '-' else 1)
+    box flat = (n_a * (n_b_max + 1) + n_b) * 2 + e
 
-Ladder operators are plain truncations (no re-normalisation at the cutoff);
-convergence against truncation is checked at the steady-state level.
+A space may also cap the total excitation k = n_a + n_b + e: it then keeps
+only the kets with k <= max_excitation, in the box order above, and index,
+label and dim count the kept kets alone.
 
-A space may also cap the total excitation k = n_a + n_b + [emitter excited]:
-it then keeps only the kets with k <= max_excitation, in the box order above,
-and index, label and dim count the kept kets alone.  Its operators are the
-box operators restricted to the kept kets, the same plain truncation.  Every
-lowering operator maps a kept ket to a kept ket, so products such as a'a and
-a'b of restricted operators equal the restricted box products.
+Operators are built on the kets.  A lowering operator puts sqrt(n) at (lowered
+ket, ket): a plain truncation, not re-normalised at the cutoff (convergence
+against truncation is checked at the steady-state level).  Lowering never
+raises k, so the lowered ket is kept, and a capped operator is the box
+operator restricted to the kept kets; so are products such as a'a and a'b.
 """
 
 from __future__ import annotations
@@ -55,20 +56,30 @@ class FockSpace:
                 object.__setattr__(self, "max_excitation", None)
 
     @cached_property
-    def kept(self) -> np.ndarray:
-        """Box index of each kept ket, in box order (read-only)."""
-        n_a, n_b, i = np.indices((self.n_a_max + 1, self.n_b_max + 1, 2)).reshape(3, -1)
-        excitations = n_a + n_b + i
-        cap = excitations.max() if self.max_excitation is None else self.max_excitation
-        kept = np.flatnonzero(excitations <= cap)
-        kept.setflags(write=False)
-        return kept
+    def kets(self) -> np.ndarray:
+        """(n_a, n_b, e) of each kept ket, shape (3, dim), in box order (read-only)."""
+        kets = np.indices((self.n_a_max + 1, self.n_b_max + 1, 2)).reshape(3, -1)
+        if self.max_excitation is not None:
+            kets = kets[:, kets.sum(axis=0) <= self.max_excitation]
+        kets.setflags(write=False)
+        return kets
+
+    @cached_property
+    def excitations(self) -> np.ndarray:
+        """Total excitation k = n_a + n_b + e of each kept ket (read-only)."""
+        k = self.kets.sum(axis=0)
+        k.setflags(write=False)
+        return k
 
     @property
     def dim(self) -> int:
-        if self.max_excitation is None:
-            return (self.n_a_max + 1) * (self.n_b_max + 1) * 2
-        return self.kept.size
+        return self.kets.shape[1]
+
+    def _flat(self, kets) -> np.ndarray:
+        """Flat index of kept kets given as (n_a, n_b, e) columns, found by their
+        box flat index (n_a * (n_b_max + 1) + n_b) * 2 + e."""
+        box = np.array([(self.n_b_max + 1) * 2, 2, 1])
+        return np.searchsorted(box @ self.kets, box @ kets)
 
     def index(self, n_a: int, n_b: int, i: str) -> int:
         """Flat index of the basis state |n_a, n_b, i> with i in {'-', '+'}."""
@@ -81,15 +92,14 @@ class FockSpace:
             raise IndexError(
                 f"|{n_a}, {n_b}, {i}> has more than {self.max_excitation} excitations"
             )
-        return int(np.searchsorted(self.kept, (n_a * (self.n_b_max + 1) + n_b) * 2 + e))
+        return int(self._flat((n_a, n_b, e)))
 
     def label(self, flat: int) -> tuple[int, int, str]:
         """Inverse of index()."""
         if not 0 <= flat < self.dim:
             raise IndexError(f"flat index {flat} outside [0, {self.dim})")
-        box, i = divmod(int(self.kept[flat]), 2)
-        n_a, n_b = divmod(box, self.n_b_max + 1)
-        return n_a, n_b, EMITTER_STATES[i]
+        n_a, n_b, e = self.kets[:, flat].tolist()
+        return n_a, n_b, EMITTER_STATES[e]
 
     def labels(self):
         """All basis labels in flat-index order."""
@@ -101,51 +111,35 @@ def build_space(n_a_max: int, n_b_max: int, max_excitation: int | None = None) -
     return FockSpace(n_a_max, n_b_max, max_excitation)
 
 
-def _destroy(cutoff: int) -> np.ndarray:
-    return np.diag(np.sqrt(np.arange(1, cutoff + 1, dtype=float)), 1).astype(complex)
-
-
-def _embed(space: FockSpace, op_a=None, op_b=None, op_e=None) -> np.ndarray:
-    """Kronecker-embed single-factor operators into the composite space,
-    restricted to its kept kets."""
-    ia = np.eye(space.n_a_max + 1, dtype=complex)
-    ib = np.eye(space.n_b_max + 1, dtype=complex)
-    ie = np.eye(2, dtype=complex)
-    a = ia if op_a is None else op_a
-    b = ib if op_b is None else op_b
-    e = ie if op_e is None else op_e
-    box = np.kron(a, np.kron(b, e))
-    if space.max_excitation is None:
-        return box
-    return box[np.ix_(space.kept, space.kept)]
+def _lowering(space: FockSpace, factor: int) -> np.ndarray:
+    """Lower n_a (factor 0), n_b (1) or e (2) by one: sqrt(n) at (lowered ket, ket)."""
+    n = space.kets[factor]
+    cols = np.flatnonzero(n)
+    lowered = space.kets[:, cols].copy()
+    lowered[factor] -= 1
+    op = np.zeros((space.dim, space.dim), dtype=complex)
+    op[space._flat(lowered), cols] = np.sqrt(n[cols])
+    return op
 
 
 def annihilator(space: FockSpace, mode: str) -> np.ndarray:
     """Photon annihilation operator of the 'ccw' or 'cw' mode."""
     mode = mode.lower()
-    if mode == "ccw":
-        return _embed(space, op_a=_destroy(space.n_a_max))
-    if mode == "cw":
-        return _embed(space, op_b=_destroy(space.n_b_max))
-    raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
-
-
-# Emitter single-factor matrices in the basis (|->, |+>).
-_SIGMA_MINUS = np.array([[0, 1], [0, 0]], dtype=complex)
-_PROJECTOR_E = np.diag([0.0, 1.0]).astype(complex)
-_PAULI_Z = np.diag([-1.0, 1.0]).astype(complex)
+    if mode not in MODES:
+        raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
+    return _lowering(space, MODES.index(mode))
 
 
 def emitter_lowering(space: FockSpace) -> np.ndarray:
     """sigma_- : maps |+> to |->."""
-    return _embed(space, op_e=_SIGMA_MINUS)
+    return _lowering(space, 2)
 
 
 def emitter_excitation_projector(space: FockSpace) -> np.ndarray:
     """|+><+| on the emitter factor."""
-    return _embed(space, op_e=_PROJECTOR_E)
+    return np.diag(space.kets[2]).astype(complex)
 
 
 def pauli_z(space: FockSpace) -> np.ndarray:
     """Genuine Pauli-Z (eigenvalues -1 on |->, +1 on |+>)."""
-    return _embed(space, op_e=_PAULI_Z)
+    return np.diag(2 * space.kets[2] - 1).astype(complex)

@@ -83,8 +83,8 @@ def steady_state(lv: Superoperator) -> DensityMatrix:
             "the emitter is decoupled and undamped (g_a = g_b = gamma_a = 0): its "
             "populations are conserved, so the steady state is not unique"
         )
-    dim = lv.space.dim
     table = operator_table(lv.space)
+    dim = table.space.dim
     values = table.values(p)
     trace = np.zeros(dim * dim)
     trace[np.arange(dim) * (dim + 1)] = 1.0

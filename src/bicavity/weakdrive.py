@@ -92,7 +92,7 @@ def _hamiltonian_parts() -> np.ndarray:
     space = FockSpace(2, 2)
     terms = operator_table(space).nonhermitian
     flat = [space.index(*ket) for ket in _KETS]
-    n = np.array([n_a + n_b + (e == "+") for n_a, n_b, e in _KETS])
+    n = space.excitations[flat]
     keep = n[:, None] >= n
     parts = np.stack([np.where(keep, terms[name][np.ix_(flat, flat)], 0) for name in FIELDS])
     parts = parts.reshape(len(FIELDS), -1)

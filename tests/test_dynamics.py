@@ -191,7 +191,8 @@ def grading_violations(table) -> int:
     return int(np.count_nonzero(far) + np.count_nonzero(others[:, across]))
 
 
-CUTOFFS = list(itertools.product((1, 2, 3), repeat=2))
+# Boxes, and spaces that cap the excitation as the ladder's levels do.
+CUTOFFS = [*itertools.product((1, 2, 3), repeat=2), (3, 3, 2), (3, 3, 3), (4, 4, 3), (4, 4, 4)]
 
 
 @pytest.mark.parametrize("cutoffs", CUTOFFS)

@@ -32,6 +32,7 @@ def test_index_round_trip():
                 assert space.label(flat) == (n_a, n_b, i)
                 seen.add(flat)
     assert seen == set(range(space.dim))
+    assert space.excitations.tolist() == [excitations(space, k) for k in range(space.dim)]
 
 
 def test_index_validation():
@@ -99,6 +100,35 @@ def test_factors_commute():
         assert np.max(np.abs(x @ y - y @ x)) < 1e-13
 
 
+@pytest.mark.parametrize("na,nb", [(1, 1), (2, 3), (4, 4)])
+def test_box_operators_are_the_kronecker_embedding(na, nb):
+    # The textbook construction: single-factor matrices, Kronecker products
+    # in the order (a, b, emitter).
+    def destroy(cutoff):
+        return np.diag(np.sqrt(np.arange(1, cutoff + 1, dtype=float)), 1).astype(complex)
+
+    def embed(op_a=None, op_b=None, op_e=None):
+        ia, ib, ie = (np.eye(n, dtype=complex) for n in (na + 1, nb + 1, 2))
+        return np.kron(
+            ia if op_a is None else op_a,
+            np.kron(ib if op_b is None else op_b, ie if op_e is None else op_e),
+        )
+
+    space = build_space(na, nb)
+    pairs = [
+        (annihilator(space, "ccw"), embed(op_a=destroy(na))),
+        (annihilator(space, "cw"), embed(op_b=destroy(nb))),
+        (emitter_lowering(space), embed(op_e=np.array([[0, 1], [0, 0]], dtype=complex))),
+        (emitter_excitation_projector(space), embed(op_e=np.diag([0.0, 1.0]).astype(complex))),
+        (pauli_z(space), embed(op_e=np.diag([-1.0, 1.0]).astype(complex))),
+    ]
+    for op, reference in pairs:
+        assert op.dtype == reference.dtype
+        # Equal entry for entry; Kronecker products with -1 leave some zeros
+        # as -0.0, which compare equal to the 0.0 built here.
+        assert np.array_equal(op, reference)
+
+
 def excitations(space, flat):
     n_a, n_b, i = space.label(flat)
     return n_a + n_b + (i == "+")
@@ -116,6 +146,7 @@ def test_capped_index_label_round_trip(na, nb, cap, dim):
     for flat, label in enumerate(kept):
         assert space.index(*label) == flat
         assert space.label(flat) == label
+    assert space.excitations.tolist() == [excitations(space, k) for k in range(dim)]
     with pytest.raises(IndexError):
         space.label(dim)
     over = next(label for label in box.labels() if label not in kept)
