@@ -7,7 +7,7 @@ Library layout:
 * dynamics     -- Hamiltonians and the Lindblad generator (cached affine table)
 * steadystate  -- steady-state solve, photon numbers, g2(0)
 * weakdrive    -- two-excitation ansatz, closed-form amplitudes and g2(0)
-* meanfield    -- transmission/reflection spectra, scatterer coupling
+* meanfield    -- linear-response transmission/reflection spectra, scatterer coupling
 * sweep        -- parameter sweeps, figure presets, CSV output
 * cli          -- command-line entry point (``bicavity``)
 """

@@ -1,7 +1,7 @@
 """Command-line interface.
 
 Subcommands:
-  spectrum  -- mean-field transmission/reflection vs detuning
+  spectrum  -- empty-cavity (g = 0) transmission/reflection vs detuning
   sweep     -- run a custom sweep from an INI config file
   figure    -- run a built-in figure preset
 
@@ -38,7 +38,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    sp = sub.add_parser("spectrum", help="mean-field transmission/reflection spectrum")
+    sp = sub.add_parser("spectrum", help="empty-cavity (g = 0) transmission/reflection spectrum")
     sp.add_argument("--kappa", type=float, default=1.0, help="cavity linewidth (frequency unit)")
     sp.add_argument("--j", type=float, required=True, help="mode coupling J (same unit)")
     sp.add_argument("--min", dest="lo", type=float, default=None, help="lowest detuning (default -10 kappa)")

@@ -8,12 +8,12 @@ in ERROR_CODES, and any other exception propagates.
 
 The grid is built once as an array of parameter rows.  Engines run in the
 order of _OUTPUTS, each on the rows that have not failed yet.  The weak-drive
-system is solved as stacked chunks of rows, and the mean-field spectrum is one
-array formula over all rows, both in the calling thread.  Only the master
-equation is solved point by point; threads > 1 spreads its points over a
-thread pool, in the same row order.  Two threads measured 0.99x the
-one-thread speed; the pool stays because the benchmark in perfbench/ passes
-threads=.
+system is solved as stacked chunks of rows, and the spectrum outputs p_t, p_r
+as one stacked linear-response solve over all rows, both in the calling
+thread.  Only the master equation is solved point by point; threads > 1
+spreads its points over a thread pool, in the same row order.  Two threads
+measured 0.99x the one-thread speed; the pool stays because the benchmark in
+perfbench/ passes threads=.
 
 At cutoff N >= 4 a master-equation point first climbs a ladder of smaller
 solves (_ladder): level K = 3, 4, ..., N keeps only the kets with at most K
@@ -61,11 +61,11 @@ from .meanfield import spectrum  # noqa: F401
 from .weakdrive import c_amplitudes_closed_form, g2_closed_form, solve_weak_drive  # noqa: F401
 
 # Output -> (engine, reader of that engine's result), in evaluation order:
-# master equation (n before g2), weak drive, mean field.  Master-equation
+# master equation (n before g2), weak drive, spectrum.  Master-equation
 # readers take one point's density matrix.  Weak-drive readers take the
 # amplitudes of many rows, shape (n, 8) in AmplitudeSet order, and give nan
 # where the output is undefined; g2_driven is also what AmplitudeSet.g2_ccw
-# reads, so a row matches a single-point solve bit for bit.  Mean-field
+# reads, so a row matches a single-point solve bit for bit.  Spectrum
 # readers take the columns of normalized_spectrum, as spectrum() does.  The
 # lambdas look names up at call time, so patched module attributes apply.
 _OUTPUTS = {
@@ -100,9 +100,6 @@ BOX_LEVEL = "box"
 # Rows per stacked weak-drive solve.  A chunk's work arrays take a few MB; one
 # stack of a whole 201 x 201 scan would take about 50 MB.
 _CHUNK = 1024
-
-# The theta columns normalized_spectrum reads: delta, J, kappa.
-_MEAN_FIELD_COLUMNS = [FIELDS.index(name) for name in ("delta", "j_coupling", "kappa")]
 
 _AXIS_NAMES = FIELDS + ("g",)
 
@@ -171,7 +168,7 @@ class SweepSpec:
 
     @property
     def engine(self) -> str:
-        """The engines the outputs call for; mean-field outputs ride along with either."""
+        """The engines the outputs call for; spectrum outputs ride along with either."""
         engines = {_OUTPUTS[out][0] for out in self.outputs}
         if "master_equation" not in engines:
             return "analytic"
@@ -349,8 +346,7 @@ def run_sweep(spec: SweepSpec, threads: int = 1) -> ResultTable:
         elif engine == "analytic":
             engine_values, codes[live] = _analytic_rows(readers, thetas[live])
         else:
-            with np.errstate(all="ignore"):  # delta / kappa or J / kappa may overflow
-                columns = normalized_spectrum(*thetas[live][:, _MEAN_FIELD_COLUMNS].T)
+            columns = normalized_spectrum(thetas[live])
             engine_values = np.column_stack([read(columns) for read in readers])
             unfit = ~np.isfinite(engine_values).all(axis=1)
             codes[live[unfit]], engine_values[unfit] = ERROR_CODES[BicavityError.code], np.nan

@@ -115,13 +115,24 @@ def _check_domain(params: SystemParams, common_coupling: bool = False) -> None:
         )
 
 
+def solve_stacked(m: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """np.linalg.solve over a stack; a singular system gets nan, each other one its own solve."""
+    try:
+        return np.linalg.solve(m, rhs)
+    except np.linalg.LinAlgError:
+        c = np.full(rhs.shape, np.nan, dtype=complex)
+        for i in range(len(m)):
+            with contextlib.suppress(np.linalg.LinAlgError):
+                c[i:i + 1] = np.linalg.solve(m[i:i + 1], rhs[i:i + 1])
+        return c
+
+
 def solve_weak_drive_rows(thetas: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Solve the 8x8 system at every parameter row, shape (n, len(FIELDS)).
 
     Returns the amplitudes, shape (n, 8) in AmplitudeSet order, and each row's
-    relative residual max|m c - rhs| / (max|m| max|c|).  A singular system
-    fails the stacked solve, so then each row is solved on its own, and a
-    singular row gets nan amplitudes and a nan residual.  The domain and the
+    relative residual max|m c - rhs| / (max|m| max|c|).  A singular row gets
+    nan amplitudes and a nan residual (solve_stacked).  The domain and the
     residual are left to the caller.
     """
     # einsum sums over the fields in its own loop, not BLAS, so a row's
@@ -130,13 +141,7 @@ def solve_weak_drive_rows(thetas: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     h = h.view(complex).reshape(-1, len(_KETS), len(_KETS))
     # H_nh c = 0 on the ansatz kets; c_000m = 1 moves to the right-hand side.
     m, rhs = h[:, 1:, 1:], -h[:, 1:, :1]
-    try:
-        c = np.linalg.solve(m, rhs)
-    except np.linalg.LinAlgError:
-        c = np.full(rhs.shape, np.nan, dtype=complex)
-        for i in range(len(m)):
-            with contextlib.suppress(np.linalg.LinAlgError):
-                c[i:i + 1] = np.linalg.solve(m[i:i + 1], rhs[i:i + 1])
+    c = solve_stacked(m, rhs)
     scale = np.maximum(np.abs(m).max(axis=(1, 2)) * np.abs(c).max(axis=(1, 2)), 1e-300)
     residual = np.abs(m @ c - rhs).max(axis=(1, 2)) / scale
     return c[..., 0], residual

@@ -163,7 +163,7 @@ def test_weak_drive_domain_is_invalid_point():
 
 
 def test_programming_errors_propagate(monkeypatch):
-    def broken(delta, j_coupling, kappa):
+    def broken(thetas):
         raise ValueError("bug")
 
     monkeypatch.setattr(sweep, "normalized_spectrum", broken)

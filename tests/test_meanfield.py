@@ -2,10 +2,16 @@ import numpy as np
 import pytest
 
 from bicavity import (
+    ERROR_CODES,
     ScattererSpec,
     SystemParams,
+    SweepSpec,
+    figure_preset,
+    reference_baseline,
+    run_sweep,
     scatterer_coupling,
     spectrum,
+    value_axis,
 )
 from bicavity.meanfield import field_means
 
@@ -83,6 +89,28 @@ def test_transmission_limits():
 def test_no_reflection_without_coupling():
     _, p_r, _, _ = spectrum(base(j=0.0), np.linspace(-100, 100, 11))
     assert np.all(p_r == 0.0)
+
+
+def test_emitter_reflects_the_resonant_drive():
+    # g = kappa / 2 and gamma_a = kappa / 40: the emitter sends the drive into the cw mode
+    p_t, p_r, _, _ = spectrum(reference_baseline(), [0.0])
+    assert p_t[0] == pytest.approx(1.524e-4, rel=1e-3)
+    assert p_r[0] == pytest.approx(0.9755, rel=1e-4)
+    spec = SweepSpec(reference_baseline(), (value_axis("delta", [0.0]),), ("p_t", "p_r"))
+    assert run_sweep(spec).rows == [[0.0, p_t[0], p_r[0], ERROR_CODES["ok"]]]
+
+
+@pytest.mark.parametrize("gamma_p", [0.0, 3.0])
+def test_decoupled_emitter_gives_the_empty_cavity(gamma_p):
+    # fig2's base has delta_a = gamma_a = 0: the emitter is pinned, not a singular row
+    spec = figure_preset("fig2")
+    spec = SweepSpec(spec.base.replace(gamma_p=gamma_p), spec.axes, spec.outputs)
+    table = run_sweep(spec)
+    delta, j = table.column("delta") / 40.0, table.column("j_coupling") / 40.0
+    a_mean, b_mean = field_means(delta, j, 1.0, 1.0)
+    np.testing.assert_allclose(table.column("p_t"), np.abs(1j + a_mean) ** 2, rtol=1e-12)
+    np.testing.assert_allclose(table.column("p_r"), np.abs(b_mean) ** 2, rtol=1e-12)
+    assert not table.column("error").any()
 
 
 def test_empty_grid_rejected():
