@@ -1,26 +1,23 @@
 """Linear-response transmission/reflection spectra and the scatterer coupling.
 
-At weak drive the outputs are linear in the coherences x = rho[k, 0] between
-the one-excitation kets k and the vacuum, which solve, on the operator table
-capped at one excitation (V the drive term of H_nh),
-    -i H_nh x + i x conj(H_nh[0, 0]) + gamma_p sz x sz[0, 0] = i V|0>.
-Input-output theory gives <a_out> = i*eps/sqrt(kappa) + sqrt(kappa) <a> and
-<b_out> = sqrt(kappa) <b>, with <a>, <b> the x of |1,0,->, |0,1,->.  Points
-are solved at kappa = 1 and unit drive, so the normalized transmission tends
-to 1 far off resonance.  field_means, the g = 0 closed form, is the tests' reference.
+At weak drive the outputs are linear in the coherences rho[k, 0] between the
+one-excitation kets k and the vacuum: the first-order block of the weak-drive
+system (weakdrive.vacuum_column_system on its first four kets), which holds at
+any gamma_p.  Input-output theory gives <a_out> = i*eps/sqrt(kappa) + sqrt(kappa) <a>
+and <b_out> = sqrt(kappa) <b>, with <a>, <b> the coherences of |1,0,->, |0,1,->.
+Points are solved at kappa = 1 and unit drive, so the normalized transmission
+tends to 1 far off resonance.  field_means, the g = 0 closed form, is the tests' reference.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
-from .dynamics import FIELDS, operator_table, theta
-from .fock import FockSpace
+from .dynamics import FIELDS, theta
 from .params import SystemParams
-from .weakdrive import abs2, solve_stacked
+from .weakdrive import abs2, solve_stacked, vacuum_column_system
 
 
 def field_means(delta, j_coupling, kappa, drive):
@@ -30,35 +27,17 @@ def field_means(delta, j_coupling, kappa, drive):
     return drive * (delta - 0.5j * kappa) / denom, -drive * j_coupling / denom
 
 
-@lru_cache(maxsize=1)
-def _response_parts() -> np.ndarray:
-    """Per-field parts of [M | rhs], shape (len(FIELDS), 12), read-only: M x = rhs
-    is the system of x on the kets |1,0,->, |0,1,->, |0,0,+>.  Of a jump's
-    c rho c', only c x c[0, 0] is first order (sigma_z's; a lowering c has c[0, 0] = 0)."""
-    table = operator_table(FockSpace(1, 1, max_excitation=1))
-    k = np.ix_(*2 * [[table.space.index(*ket) for ket in ((1, 0, "-"), (0, 1, "-"), (0, 0, "+"))]])
-    parts = []
-    for name in FIELDS:
-        h = table.nonhermitian[name]
-        m = -1j * h[k] + 1j * np.conj(h[0, 0]) * np.eye(3)
-        m += sum(c[k] * c[0, 0] for c in table.jumps.get(name, ()))
-        parts.append(np.column_stack([m, 1j * h[k[0], 0]]))
-    parts = np.stack(parts).reshape(len(FIELDS), -1)
-    parts.setflags(write=False)
-    return parts
-
-
 @np.errstate(all="ignore")  # a field / kappa may overflow
 def normalized_spectrum(thetas: np.ndarray) -> tuple[np.ndarray, ...]:
     """(p_t, p_r, a_mean, b_mean) of each row (n, len(FIELDS)) at kappa = 1 and unit drive,
     p_t = |i + a_mean|^2 and p_r = |b_mean|^2; a row that overflows there gives nan or inf."""
     scaled = thetas / thetas[:, FIELDS.index("kappa"), None]
     scaled[:, FIELDS.index("drive")] = 1.0
-    # einsum, not BLAS: a row's system does not depend on the other rows of the stack.
-    system = np.einsum("nk,kp->np", scaled, _response_parts().view(float)).view(complex).reshape(-1, 3, 4)
+    m, rhs = vacuum_column_system(scaled, 4)
     # Without g_a and g_b the emitter decouples: pin its coherence to 0.
-    system[~thetas[:, [FIELDS.index("g_a"), FIELDS.index("g_b")]].any(axis=1), 2] = (0, 0, 1, 0)
-    a_mean, b_mean, _ = solve_stacked(system[..., :3], system[..., 3:])[..., 0].T
+    decoupled = ~thetas[:, [FIELDS.index("g_a"), FIELDS.index("g_b")]].any(axis=1)
+    m[decoupled, 2], rhs[decoupled, 2] = (0, 0, 1), 0
+    a_mean, b_mean, _ = solve_stacked(m, rhs)[..., 0].T
     return abs2(1j + a_mean), abs2(b_mean), a_mean, b_mean
 
 
@@ -68,7 +47,8 @@ def spectrum(params: SystemParams, delta_grid) -> tuple[np.ndarray, ...]:
     The arrays take the grid's shape (at least 1-D).  delta_grid, in the unit
     of params, replaces its delta, and the other fields hold.  Points are
     rescaled to kappa = 1, so the result is drive-independent.  A grid point
-    where delta / kappa overflows, or a point whose J / kappa does, is a ValueError.
+    where delta / kappa overflows, or any other field but the drive whose
+    value / kappa does, is a ValueError naming it.
     """
     grid = np.atleast_1d(np.asarray(delta_grid, dtype=float))
     if grid.size == 0:
@@ -77,11 +57,15 @@ def spectrum(params: SystemParams, delta_grid) -> tuple[np.ndarray, ...]:
         raise ValueError("delta_grid must be finite")
     with np.errstate(over="ignore"):
         overflow = ~np.isfinite(grid / params.kappa)
-        j_overflow = not np.isfinite(np.float64(params.j_coupling) / params.kappa)
+        scaled = dict(zip(FIELDS, theta(params) / params.kappa))
     if overflow.any():
         raise ValueError(f"delta / kappa overflows at delta_grid points {grid[overflow].tolist()}")
-    if j_overflow:
-        raise ValueError(f"J / kappa overflows at J = {params.j_coupling!r}, kappa = {params.kappa!r}")
+    for name in ("delta_a", "j_coupling", "g_a", "g_b", "gamma_a", "gamma_p"):  # not the drive, set to 1
+        if not np.isfinite(scaled[name]):
+            symbol = "J" if name == "j_coupling" else name
+            raise ValueError(
+                f"{symbol} / kappa overflows at {name} = {getattr(params, name)!r}, kappa = {params.kappa!r}"
+            )
     rows = np.tile(theta(params), (grid.size, 1))
     rows[:, FIELDS.index("delta")] = grid.ravel()
     return tuple(column.reshape(grid.shape) for column in normalized_spectrum(rows))

@@ -2,20 +2,22 @@
 
 With the drive weak enough that at most two excitations are present, the
 steady state is parametrised by eight amplitudes on top of the ground state
-|0,0,-> (its amplitude is fixed to 1).  They solve a linear 8x8 system: the
-table's non-Hermitian Hamiltonian projected onto these kets, keeping an entry
-only where the row ket has at least as many excitations as the column ket (an
-n-excitation amplitude is O(drive^n)).  It holds for any g_a, g_b.
-solve_weak_drive_rows solves it for a stack of parameter rows at once, each
-row's matrix one einsum of its parameters with the cached per-field parts;
-sweeps call it on chunks of their grid, and solve_weak_drive is its one-row
-case.  A singular row gets nan amplitudes and a nan residual, and both
-callers take a residual that is not within RESIDUAL_TOL as an analytic
-singularity.
+|0,0,-> (its amplitude is fixed to 1): the coherences rho[k, 0] of these kets
+with the vacuum, an n-excitation one O(drive^n).  To leading order they solve
+a linear 8x8 system, the vacuum column of the master equation on these kets,
+keeping an entry only where the row ket has at least as many excitations as
+the column ket.  It holds for any g_a, g_b and gamma_p, and its block on the
+first four kets is the linear response of meanfield.  g2 reads populations,
+which are the amplitudes' |c|^2 only at gamma_p = 0, so solve_weak_drive
+stays there.  solve_weak_drive_rows solves the system for a stack of
+parameter rows at once, each row's matrix one einsum of its parameters with
+the cached per-field parts; sweeps call it on chunks of their grid, and
+solve_weak_drive is its one-row case.  A singular row gets nan amplitudes and
+a nan residual, and both callers take a residual that is not within
+RESIDUAL_TOL as an analytic singularity.
 The paper's closed forms for g_a = g_b, written in
 dp = delta - i*kappa/2 and dd = delta_a - i*gamma_a/2, are kept as the
-reference the system is checked against.  Pure dephasing is outside this
-treatment (gamma_p = 0).
+reference the system is checked against.
 """
 
 from __future__ import annotations
@@ -87,17 +89,35 @@ _KETS = (
 
 @lru_cache(maxsize=1)
 def _hamiltonian_parts() -> np.ndarray:
-    """Per-field parts of H_nh on _KETS, shape (len(FIELDS), 81), read-only.
-    Entries of higher drive order (row ket less excited than column ket) are 0."""
+    """Per-field parts of the vacuum-column system on _KETS, shape (len(FIELDS), 9, 9),
+    read-only.  To leading order i d/dt rho[:, 0] = sum_k theta_k part_k rho[:, 0], with
+    part_k = H_k - conj(H_k[0, 0]) 1 + i sum_c c conj(c[0, 0]) over field k's jumps c:
+    that is H_k, but gamma_p's is -2i on the emitter-excited kets (only sigma_z has
+    c[0, 0] != 0).  Entries of higher drive order (row ket less excited than column ket) are 0."""
     space = FockSpace(2, 2)
-    terms = operator_table(space).nonhermitian
-    flat = [space.index(*ket) for ket in _KETS]
+    table = operator_table(space)
+    flat = [space.index(*ket) for ket in _KETS]  # the vacuum is flat index 0
     n = space.excitations[flat]
-    keep = n[:, None] >= n
-    parts = np.stack([np.where(keep, terms[name][np.ix_(flat, flat)], 0) for name in FIELDS])
-    parts = parts.reshape(len(FIELDS), -1)
+    parts = []
+    for name in FIELDS:
+        h = table.nonhermitian[name]
+        jumps = sum(c * np.conj(c[0, 0]) for c in table.jumps.get(name, ()))
+        part = (h - np.conj(h[0, 0]) * np.eye(space.dim) + 1j * jumps)[np.ix_(flat, flat)]
+        parts.append(np.where(n[:, None] >= n, part, 0))
+    parts = np.stack(parts)
     parts.setflags(write=False)
     return parts
+
+
+def vacuum_column_system(thetas: np.ndarray, kets: int = len(_KETS)) -> tuple[np.ndarray, np.ndarray]:
+    """Stacked (m, rhs) of the vacuum-column system on the first kets of _KETS
+    at every parameter row, shape (n, len(FIELDS)): m c = rhs, with c the
+    coherences rho[k, 0] of kets 1 .. kets - 1 and rho[0, 0] = 1."""
+    parts = _hamiltonian_parts()[:, 1:kets, :kets].reshape(len(FIELDS), -1)
+    # einsum sums over the fields in its own loop, not BLAS, so a row's
+    # matrix does not depend on the other rows of the stack.
+    h = np.einsum("nk,kp->np", thetas, parts.view(float)).view(complex).reshape(-1, kets - 1, kets)
+    return h[..., 1:], -h[..., :1]
 
 
 def in_domain(thetas: np.ndarray) -> np.ndarray:
@@ -135,12 +155,7 @@ def solve_weak_drive_rows(thetas: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     nan amplitudes and a nan residual (solve_stacked).  The domain and the
     residual are left to the caller.
     """
-    # einsum sums over the fields in its own loop, not BLAS, so a row's
-    # matrix does not depend on the other rows of the stack.
-    h = np.einsum("nk,kp->np", thetas, _hamiltonian_parts().view(float))
-    h = h.view(complex).reshape(-1, len(_KETS), len(_KETS))
-    # H_nh c = 0 on the ansatz kets; c_000m = 1 moves to the right-hand side.
-    m, rhs = h[:, 1:, 1:], -h[:, 1:, :1]
+    m, rhs = vacuum_column_system(thetas)
     c = solve_stacked(m, rhs)
     scale = np.maximum(np.abs(m).max(axis=(1, 2)) * np.abs(c).max(axis=(1, 2)), 1e-300)
     residual = np.abs(m @ c - rhs).max(axis=(1, 2)) / scale

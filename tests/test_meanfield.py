@@ -138,6 +138,16 @@ def test_overflowing_coupling_rejected():
         spectrum(SystemParams(kappa=1e-10, j_coupling=1e300, drive=1.0), [0.0])
 
 
+@pytest.mark.parametrize("field", ["delta_a", "g_a", "g_b", "gamma_a", "gamma_p"])
+def test_overflowing_field_rejected(field):
+    # the solve reads every field / kappa; the drive alone is replaced by 1
+    params = SystemParams(kappa=1e-10, g_a=1.0, drive=1.0).replace(**{field: 1e300})
+    with pytest.raises(ValueError, match=rf"{field} / kappa overflows at {field} = 1e\+300"):
+        spectrum(params, [0.0])
+    p_t, p_r, _, _ = spectrum(params.replace(**{field: 1.0}, drive=1e300), [0.0])
+    assert np.isfinite(p_t).all() and np.isfinite(p_r).all()
+
+
 def test_spectrum_arrays_take_the_grid_shape():
     grid = np.linspace(-80.0, 80.0, 12).reshape(3, 4)
     p_t, p_r, a_mean, b_mean = spectrum(base(j=60.0), grid)

@@ -7,10 +7,12 @@ steady state from a dense complex solve with the trace condition in place of
 the first row.  The reference for an analytic sweep is a loop of
 solve_weak_drive calls, one per grid point; for a spectrum sweep it is
 spectrum() at each point, and field_means where no emitter couples (g = 0).
-Three limits of the steady state are checked too: the cw mode stays empty
+Four limits of the steady state are checked too: the cw mode stays empty
 without J and g_b, at gamma_p = 0 the g2 of the master equation tends to the
 weak-drive g2 as the drive falls, and at weak drive its output powers are
-spectrum()'s p_t and p_r, with the emitter coupled and dephased.  The
+spectrum()'s p_t and p_r and its coherences with the vacuum are the weak-drive
+amplitudes, with the emitter coupled and dephased.  spectrum()'s fields are
+the weak-drive system's one-photon amplitudes at kappa = 1 and unit drive.  The
 reference for a master-equation sweep row is solve_steady's box at the same
 cutoff: a row the excitation-capped ladder accepts is within its tolerance,
 and any other row is the box's bit for bit.
@@ -54,7 +56,7 @@ from bicavity import sweep
 from bicavity.dynamics import from_real_coordinates, operator_table, theta
 from bicavity.meanfield import field_means
 from bicavity.steadystate import PSD_TOL, UNDERFLOW_GUARD
-from bicavity.weakdrive import abs2
+from bicavity.weakdrive import _KETS, abs2, solve_weak_drive_rows
 
 
 def kronecker_liouvillian(p: SystemParams, space) -> np.ndarray:
@@ -270,6 +272,31 @@ def test_spectrum_is_the_master_equation_output_at_weak_drive(point):
     p_t, p_r, _, _ = spectrum(p, [p.delta])
     assert p_t[0] == pytest.approx(abs(1j + a) ** 2, rel=1e-4)
     assert p_r[0] == pytest.approx(abs(b) ** 2, rel=1e-4, abs=1e-12)
+
+
+@PROPERTY_SETTINGS
+@given(points())
+def test_weak_drive_amplitudes_are_the_vacuum_coherences_at_dephasing(point):
+    """The eight amplitudes are rho[k, |0,0,->] of the steady state at
+    eps = 1e-3 kappa, cutoff 3, with the emitter dephased (its coherences with
+    the vacuum decay 2 gamma_p faster): the two differ at order (eps / kappa)^2."""
+    p, _ = point
+    p = p.replace(drive=1e-3 * p.kappa)
+    c, _ = solve_weak_drive_rows(theta(p)[None])
+    rho = solve_steady(p, 3, 3)
+    coherences = rho.matrix[[rho.space.index(*ket) for ket in _KETS[1:]], rho.space.index(0, 0, "-")]
+    np.testing.assert_allclose(c[0], coherences, rtol=1e-4, atol=1e-15)
+
+
+@PROPERTY_SETTINGS
+@given(weak_drive_points())
+def test_spectrum_is_the_first_order_block_of_the_weak_drive_system(p):
+    # spectrum() solves at kappa = 1 and unit drive: a_mean = kappa c_100m / eps
+    p = p.replace(drive=1e-6 * p.kappa)
+    amplitudes = solve_weak_drive(p)
+    _, _, a_mean, b_mean = spectrum(p, [p.delta])
+    assert a_mean[0] == pytest.approx(p.kappa * amplitudes.c_100m / p.drive, rel=1e-12)
+    assert b_mean[0] == pytest.approx(p.kappa * amplitudes.c_010m / p.drive, rel=1e-12)
 
 
 ANALYTIC = ("g2_analytic", "c1_abs2", "c2_abs2")
