@@ -16,14 +16,15 @@ measured 0.99x the one-thread speed; the pool stays because the benchmark in
 perfbench/ passes threads=.
 
 At cutoff N >= 4 a master-equation point first climbs a ladder of smaller
-solves (_ladder): level K = 3, 4, ..., N keeps only the kets with at most K
-excitations (fock.FockSpace's cap), and level K >= 4 is accepted when every
-requested output is within LADDER_RTOL of level K - 1.  A point that no level
-decides, or where a level raises a package error or reads a non-finite
-output, is solved on the full box, which alone decides error codes.  Below
-cutoff 4 no level can be checked and every point goes to the box.  Every
-solve goes through this module's solve_steady, with positional arguments,
-and the metadata line master_levels counts the points each level decided.
+solves (_ladder): level K = 3, 4, ..., N + 1 keeps only the kets of the
+cutoff-N box with at most K excitations (fock.FockSpace's cap; the box itself
+is cap 2N + 1), and level K >= 4 is accepted when every requested output is
+within LADDER_RTOL of level K - 1.  A point that no level decides, or where a
+level raises a package error or reads a non-finite output, is solved on the
+full box, which alone decides error codes.  Below cutoff 4 no level can be
+checked and every point goes to the box.  Every solve goes through this
+module's solve_steady, with positional arguments, and the metadata line
+master_levels counts the points each level decided.
 
 Axis names are SystemParams fields plus two aliases:
   * "g"      sets g_a and g_b together,
@@ -91,9 +92,9 @@ ERROR_CODES = {
     "degenerate_steady_state": 4,
     "invalid_point": 9,
 }
-# Master-equation ladder (_ladder): excitation caps LADDER_START, ..., cutoff,
-# each checked against the one below to LADDER_RTOL (relative).  The
-# master_levels metadata names the full-box fallback BOX_LEVEL.
+# Master-equation ladder (_ladder): excitation caps LADDER_START, ..., cutoff + 1
+# inside the cutoff box, each checked against the one below to LADDER_RTOL
+# (relative).  The master_levels metadata names the full-box fallback BOX_LEVEL.
 LADDER_START = 3
 LADDER_RTOL = 1e-6
 BOX_LEVEL = "box"
@@ -228,16 +229,16 @@ def _ladder(params: SystemParams, cutoff: int, readers):
     """(level, outputs, residual) of the first capped level K that agrees with
     level K - 1, or None: the row then needs the box.
 
-    Levels K = LADDER_START, ..., cutoff solve on the kets with at most K
-    excitations.  Level K is accepted when every output is within LADDER_RTOL
-    of level K - 1, relative to its own value.  A level that raises a package
-    error or reads a non-finite output ends the ladder, so the box alone
-    decides a row's error code.
+    Levels K = LADDER_START, ..., cutoff + 1 solve on the kets of the cutoff
+    box with at most K excitations.  Level K is accepted when every output is
+    within LADDER_RTOL of level K - 1, relative to its own value.  A level
+    that raises a package error or reads a non-finite output ends the ladder,
+    so the box alone decides a row's error code.
     """
     if cutoff <= LADDER_START:
         return None
     previous = None
-    for level in range(LADDER_START, cutoff + 1):
+    for level in range(LADDER_START, cutoff + 2):
         try:
             rho = solve_steady(params, cutoff, cutoff, level)
             out = [read(rho) for read in readers]
@@ -256,10 +257,11 @@ def _ladder(params: SystemParams, cutoff: int, readers):
 def _master_rows(spec: SweepSpec, readers, thetas: np.ndarray, threads: int):
     """Solve the master equation point by point and read its outputs.
 
-    Each point runs the ladder first and falls back to the box.  Returns
-    (values (n, outputs), codes (n,), residuals, levels): on failure a point
-    keeps the outputs read so far and nan for the rest, and levels counts the
-    points decided at each accepted ladder level and at the box (BOX_LEVEL).
+    Each point runs the ladder (caps up to cutoff + 1) first and falls back to
+    the box.  Returns (values (n, outputs), codes (n,), residuals, levels): on
+    failure a point keeps the outputs read so far and nan for the rest, and
+    levels counts the points decided at each accepted ladder level 4, ...,
+    cutoff + 1 and at the box (BOX_LEVEL).
     """
 
     def work(row):
@@ -384,7 +386,7 @@ def _metadata(spec: SweepSpec, total: int, failed: int, residuals, levels) -> di
     md["points_failed"] = str(failed)
     md["max_residual"] = repr(max(residuals)) if residuals else "nan"
     if levels is not None and spec.cutoff > LADDER_START:
-        decided = [*range(LADDER_START + 1, spec.cutoff + 1), BOX_LEVEL]
+        decided = [*range(LADDER_START + 1, spec.cutoff + 2), BOX_LEVEL]
         md["master_levels"] = ";".join(f"{level}:{levels[level]}" for level in decided)
     md["error_codes"] = ";".join(f"{v}={k}" for k, v in ERROR_CODES.items())
     return md

@@ -192,7 +192,8 @@ def grading_violations(table) -> int:
 
 
 # Boxes, and spaces that cap the excitation as the ladder's levels do.
-CUTOFFS = [*itertools.product((1, 2, 3), repeat=2), (3, 3, 2), (3, 3, 3), (4, 4, 3), (4, 4, 4)]
+CUTOFFS = [*itertools.product((1, 2, 3), repeat=2),
+           (3, 3, 2), (3, 3, 3), (4, 4, 3), (4, 4, 4), (4, 4, 5)]
 
 
 @pytest.mark.parametrize("cutoffs", CUTOFFS)

@@ -582,13 +582,13 @@ def test_ladder_row_matches_the_box(p):
     if level == sweep.BOX_LEVEL:
         assert same(out, want)
     else:
-        assert level == 4 and code == ERROR_CODES["ok"]
+        assert level in (4, 5) and code == ERROR_CODES["ok"]
         for got, ref in zip(out, want, strict=True):
             assert abs(got - ref) <= sweep.LADDER_RTOL * abs(ref)
 
 
 @settings(PROPERTY_SETTINGS, max_examples=30)
-@given(ladder_points(), st.sampled_from([3, 4]), st.sampled_from(
+@given(ladder_points(), st.sampled_from([3, 4, 5]), st.sampled_from(
     [SteadyStateSolverError, DegenerateSteadyStateError, UndefinedCorrelationError]))
 def test_ladder_level_that_raises_sends_the_row_to_the_box(p, failing, error):
     calls = []
@@ -602,8 +602,12 @@ def test_ladder_level_that_raises_sends_the_row_to_the_box(p, failing, error):
 
     with mock.patch.object(sweep, "solve_steady", failing_at_level):
         out, code, level = master_row(p)
+    if level != sweep.BOX_LEVEL:
+        # accepted at level 4 below a failing level 5, which it never solved
+        assert (level, failing) == (4, 5)
+        assert calls == [((4, 4, 3), {}), ((4, 4, 4), {})]
+        return
     want, want_code = box_row(p)
-    assert level == sweep.BOX_LEVEL
     assert code == want_code and same(out, want)
     # every solve, capped or box, goes positionally through sweep.solve_steady
     # and the ladder stops at the failing level, or earlier at an undefined output
@@ -621,9 +625,14 @@ def test_ladder_levels_are_counted_in_the_metadata():
     )
     drives = spec.axes[0].values
     levels = [master_row(spec.base.replace(drive=d), spec.outputs)[2] for d in drives]
-    assert levels == [4, sweep.BOX_LEVEL, sweep.BOX_LEVEL]
+    assert levels == [4, 5, sweep.BOX_LEVEL]
     table = run_sweep(spec)
-    assert table.metadata["master_levels"] == "4:1;box:2"
+    assert table.metadata["master_levels"] == "4:1;5:1;box:1"
     assert list(table.metadata)[-1] == "error_codes"
+    # the levels run to one past the cutoff, inside the box
+    cut5 = run_sweep(dataclasses.replace(spec, axes=(value_axis("drive", [1.0]),), cutoff=5))
+    fields = dict(field.split(":") for field in cut5.metadata["master_levels"].split(";"))
+    assert list(fields) == ["4", "5", "6", sweep.BOX_LEVEL]
+    assert sum(map(int, fields.values())) == 1
     cut3 = run_sweep(dataclasses.replace(spec, cutoff=3))
     assert "master_levels" not in cut3.metadata  # no ladder below cutoff 4
