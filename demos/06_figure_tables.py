@@ -34,7 +34,7 @@ def main() -> None:
         table = run_sweep(spec, threads=args.threads)
         path = out_dir / f"{name}.csv"
         emit_csv(table, path)
-        print(f"{name:7s} -> {path}  ({len(table.rows)} rows, "
+        print(f"{name:7s} -> {path}  ({len(table.cells)} rows, "
               f"{time.perf_counter() - t0:.1f}s)")
 
 

@@ -26,6 +26,10 @@ checked and every point goes to the box.  Every solve goes through this
 module's solve_steady, with positional arguments, and the metadata line
 master_levels counts the points each level decided.
 
+The result stays one float64 array, ResultTable.cells, from run_sweep to the
+file: emit_csv writes it in blocks of _CHUNK rows and formats each repeated
+value of a column once per block, with the bytes of one repr per cell.
+
 Axis names are SystemParams fields plus two aliases:
   * "g"      sets g_a and g_b together,
   * "delta"  also sets delta_a when the sweep ties the emitter to the cavity.
@@ -38,7 +42,7 @@ import math
 import warnings
 from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -98,8 +102,9 @@ ERROR_CODES = {
 LADDER_START = 3
 LADDER_RTOL = 1e-6
 BOX_LEVEL = "box"
-# Rows per stacked weak-drive solve.  A chunk's work arrays take a few MB; one
-# stack of a whole 201 x 201 scan would take about 50 MB.
+# Rows per stacked weak-drive solve and per block emit_csv formats.  A chunk's
+# work arrays take a few MB; one stack of a whole 201 x 201 scan would take
+# about 50 MB.
 _CHUNK = 1024
 
 _AXIS_NAMES = FIELDS + ("g",)
@@ -176,26 +181,50 @@ class SweepSpec:
         return "both" if "analytic" in engines else "master_equation"
 
 
-@dataclass
 class ResultTable:
-    """Rectangular sweep result: named columns, float rows, flat metadata."""
+    """Rectangular sweep result: named columns, a float64 array of cells, flat metadata.
 
-    columns: list[str]
-    rows: list[list[float]]
-    metadata: dict[str, str] = field(default_factory=dict)
+    cells has shape (rows, len(columns)); rows may be given as a list of lists
+    or an array, and a row whose length differs from the columns is a
+    ValueError.  Two tables are equal when their columns, metadata and cells
+    are, with nan equal to nan and 0.0 equal to -0.0.
+    """
+
+    def __init__(self, columns, rows, metadata=None):
+        self.columns = list(columns)
+        width = len(self.columns)
+        if not isinstance(rows, np.ndarray):
+            for k, row in enumerate(rows):
+                if len(row) != width:
+                    raise ValueError(f"row {k} has {len(row)} cells for {width} columns {self.columns}")
+        cells = np.array(rows, dtype=float)
+        self.cells = cells.reshape(0, width) if cells.shape == (0,) else cells
+        if self.cells.ndim != 2 or self.cells.shape[1] != width:
+            raise ValueError(f"cells of shape {cells.shape} do not fit {width} columns {self.columns}")
+        self.metadata = dict(metadata or {})
+
+    def __eq__(self, other):
+        if not isinstance(other, ResultTable):
+            return NotImplemented
+        return (self.columns == other.columns and self.metadata == other.metadata
+                and np.array_equal(self.cells, other.cells, equal_nan=True))
+
+    @property
+    def rows(self) -> list[list[float]]:
+        """The cells as a new list of lists of Python floats."""
+        return self.cells.tolist()
 
     def column(self, name: str) -> np.ndarray:
-        return np.array([row[self.columns.index(name)] for row in self.rows])
+        """A copy of one column."""
+        return self.cells[:, self.columns.index(name)].copy()
 
     def with_log10(self, names) -> "ResultTable":
         """Copy with extra log10 columns (nan where the value is <= 0)."""
         idx = [self.columns.index(n) for n in names]
-        columns = self.columns + [f"log10_{n}" for n in names]
-        rows = [
-            row + [math.log10(row[i]) if row[i] > 0 else math.nan for i in idx]
-            for row in self.rows
-        ]
-        return ResultTable(columns, rows, dict(self.metadata))
+        logs = [[math.log10(v) if v > 0 else math.nan for v in row]
+                for row in self.cells[:, idx].tolist()]
+        cells = np.hstack([self.cells, np.reshape(logs, (len(self.cells), len(idx)))])
+        return ResultTable(self.columns + [f"log10_{n}" for n in names], cells, self.metadata)
 
 
 def _axis_fields(spec: SweepSpec, name: str) -> tuple[str, ...]:
@@ -358,9 +387,8 @@ def run_sweep(spec: SweepSpec, threads: int = 1) -> ResultTable:
     if failed == len(codes):
         raise SweepError("every grid point of the sweep failed")
     columns = [axis.name for axis in spec.axes] + list(spec.outputs) + ["error"]
-    rows = np.column_stack([points, values, codes]).tolist()
-    metadata = _metadata(spec, len(rows), failed, residuals, levels)
-    return ResultTable(columns, rows, metadata)
+    metadata = _metadata(spec, len(codes), failed, residuals, levels)
+    return ResultTable(columns, np.column_stack([points, values, codes]), metadata)
 
 
 def _metadata(spec: SweepSpec, total: int, failed: int, residuals, levels) -> dict[str, str]:
@@ -543,16 +571,46 @@ def figure_preset(name: str) -> SweepSpec:
 def emit_csv(table: ResultTable, path) -> None:
     """Write the table as UTF-8 CSV with '#'-prefixed metadata lines.
 
-    Floats are emitted with repr(), which round-trips exactly and carries at
-    least 12 significant digits whenever they matter.  Output is byte-for-byte
-    deterministic for a given table.
+    Every cell is written as repr(float(v)), which round-trips exactly and
+    carries at least 12 significant digits whenever they matter.  Output is
+    byte-for-byte deterministic for a given table.  The body is written in
+    blocks of _CHUNK rows; within a block, a column that repeats a value (by
+    bit pattern, so 0.0 and -0.0 stay apart) formats each distinct value once.
+    A metadata key, value or column name that read_csv() would not read back
+    as written is a ValueError, raised before the file is opened.
     """
+    _check_readable(table)
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         for key, value in table.metadata.items():
             fh.write(f"# {key} = {value}\n")
         fh.write(",".join(table.columns) + "\n")
-        for row in table.rows:
-            fh.write(",".join(repr(float(v)) for v in row) + "\n")
+        for start in range(0, len(table.cells), _CHUNK):
+            block = table.cells[start:start + _CHUNK]
+            fh.write("\n".join(map(",".join, zip(*map(_format, block.T)))) + "\n")
+
+
+def _format(values: np.ndarray) -> list[str]:
+    """repr() of each value, formatting a repeated bit pattern once."""
+    distinct, inverse = np.unique(values.view(np.uint64), return_inverse=True)
+    if len(distinct) == len(values):
+        return list(map(repr, values.tolist()))
+    texts = list(map(repr, distinct.view(np.float64).tolist()))
+    return list(map(texts.__getitem__, inverse.tolist()))
+
+
+def _check_readable(table: ResultTable) -> None:
+    """Raise ValueError for a metadata entry or column name that read_csv() would misread."""
+    for key, value in table.metadata.items():
+        if any(c in f"{key} = {value}" for c in "\n\r"):
+            raise ValueError(f"metadata entry {key!r} holds a line break")
+        if "=" in f"{key}":
+            raise ValueError(f"metadata key {key!r} holds '='")
+    for name in table.columns:
+        if any(c in name for c in ",\n\r"):
+            raise ValueError(f"column name {name!r} holds ',' or a line break")
+    header = ",".join(table.columns)
+    if not header or header.startswith("#"):
+        raise ValueError(f"header line {header!r} is empty or starts with '#'")
 
 
 def read_csv(path) -> ResultTable:

@@ -1,5 +1,6 @@
 import inspect
 import math
+import re
 
 import numpy as np
 import pytest
@@ -379,6 +380,85 @@ def test_read_csv_rejects_headerless(tmp_path):
     path.write_text("# only = metadata\n")
     with pytest.raises(ValueError):
         read_csv(path)
+
+
+def per_cell_csv(columns, rows, metadata):
+    """The bytes of the plain writer: one repr(float(v)) per cell, row by row."""
+    lines = [f"# {key} = {value}" for key, value in metadata.items()] + [",".join(columns)]
+    lines += [",".join(repr(float(v)) for v in row) for row in rows]
+    return ("\n".join(lines) + "\n").encode()
+
+
+def _long_rows():
+    """More rows than one block, with a partial last block: a repeating column
+    (with 0.0 and -0.0), a distinct one and an error-code column."""
+    n = 2 * sweep._CHUNK + 37
+    return [[(k // 7) * 0.1 * (-1) ** (k // 3) * (k % 5 != 0), math.sqrt(k) + 1e-3 * k, 9 * (k % 11 == 0)]
+            for k in range(n)]
+
+
+@pytest.mark.parametrize("rows", [
+    [[0.0, 1.0], [-0.0, 1.0], [0.0, -0.0], [-0.0, -0.0]],
+    [[math.nan, math.inf], [-math.inf, 5e-324], [1e16, 0.1 + 0.2], [math.nan, 5e-324], [-0.0, -math.inf]],
+    [[1, 2], [3, -4], [1, 2]],
+    _long_rows(),
+    [],
+], ids=["signed-zeros", "specials", "ints", "blocks", "empty"])
+def test_emit_csv_bytes_match_per_cell_repr(tmp_path, rows):
+    columns = ["x", "y", "error"][:len(rows[0]) if rows else 2]
+    metadata = {"label": "bytes", "note": "a=b"}
+    path = tmp_path / "t.csv"
+    emit_csv(ResultTable(columns, rows, metadata), path)
+    assert path.read_bytes() == per_cell_csv(columns, rows, metadata)
+
+
+def test_table_rows_and_column():
+    rows = [[1.0, 2.0], [3, -0.5]]
+    table = ResultTable(["x", "y"], rows, {"k": "v"})
+    assert table.rows == rows
+    x = table.column("x")
+    x[0] = 99.0
+    assert list(table.column("x")) == [1.0, 3.0]
+    assert table.rows == rows
+
+
+def test_table_cells_and_equality():
+    rows = [[1.0, -0.0], [3, math.nan]]
+    table = ResultTable(["x", "y"], rows, {"k": "v"})
+    assert table.cells.shape == (2, 2) and table.cells.dtype == np.float64
+    assert all(type(v) is float for row in table.rows for v in row)
+    assert table == ResultTable(["x", "y"], np.array(rows, dtype=float), {"k": "v"})
+    assert table != ResultTable(["x", "y"], rows, {"k": "w"})
+    assert table != ResultTable(["x", "z"], rows, {"k": "v"})
+
+
+@pytest.mark.parametrize("rows", [
+    [[1.0, 2.0], [3.0]],
+    [[1.0, 2.0, 3.0]],
+    np.zeros((2, 3)),
+    np.zeros(2),
+], ids=["ragged", "too-wide", "wide-array", "flat-array"])
+def test_table_rejects_rows_that_do_not_fit_the_columns(rows):
+    with pytest.raises(ValueError, match="columns"):
+        ResultTable(["x", "y"], rows)
+
+
+@pytest.mark.parametrize("columns, metadata, named", [
+    (["x", "y"], {"note\nx": "1"}, "note\\nx"),
+    (["x", "y"], {"note": "one\ntwo"}, "'note'"),
+    (["x", "y"], {"note": "one\rtwo"}, "'note'"),
+    (["x", "y"], {"a=b": "1"}, "a=b"),
+    (["x,z", "y"], {}, "x,z"),
+    (["x\ny", "z"], {}, "x\\ny"),
+    ([""], {}, "''"),
+    (["#x", "y"], {}, "#x"),
+], ids=["key-newline", "value-newline", "value-return", "key-equals", "column-comma",
+        "column-newline", "empty-header", "hash-header"])
+def test_emit_csv_rejects_what_read_csv_would_misread(tmp_path, columns, metadata, named):
+    path = tmp_path / "t.csv"
+    with pytest.raises(ValueError, match=re.escape(named)):
+        emit_csv(ResultTable(columns, [[1.0] * len(columns)], metadata), path)
+    assert not path.exists()
 
 
 def test_all_presets_construct():
