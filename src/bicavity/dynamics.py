@@ -37,12 +37,24 @@ group 0.  In group m >= 1, L maps a coherence rho_uv with k_u < k_v only to
 coherences of that orientation or into group 0, so there it is complex-linear
 in z = rho_uv: the real block between two such groups is the realification
 of a complex block of half the size.  OperatorTable.blocks caches the
-grouping, group 0 in real coordinates and the others in complex slots, and
-for every block L[a, b] with |a - b| <= 1 where its entries sit in the
-table's values; it raises if the table holds a term that joins groups
-further apart, or entries between groups m >= 1 that are not complex-linear.
+grouping, group 0 in real coordinates and the others in complex slots; it
+raises if the table holds a term that joins groups further apart, or entries
+between groups m >= 1 that are not complex-linear.
 On a space that caps the excitation (fock.FockSpace.max_excitation) all of
 this holds on the kept kets, and the vacuum still leads group 0.
+
+Solve plan
+----------
+OperatorTable.blocks (a BlockLayout) is also the parameter-independent part
+of the steady-state solve, built once per space.  It holds one flat list of
+the entries of every block L[a, b] with |a - b| <= 1: for each, its index in
+the table's values, a factor +-1, and its place in the buffer of the
+elimination step that reads it, so a point forms all its entries with one
+product and fills each step's blocks with one assignment into a fresh
+buffer, C-contiguous views with a zero column beside L[b, b-1] for group b's
+right-hand side.  It also holds the trace row and the index maps that read
+rho and max |rho_ij| straight from the real coordinates.  Nothing in it
+changes per point, so concurrent solves on one space share it.
 """
 
 from __future__ import annotations
@@ -120,11 +132,12 @@ class OperatorTable:
     @cached_property
     def blocks(self) -> BlockLayout:
         """The generator cut into blocks by excitation difference, built on first use."""
-        n = self.space.dim**2
+        dim = self.space.dim
+        n = dim**2
         k = self.space.excitations
         vec = np.arange(n)
-        i, j = vec % self.space.dim, vec // self.space.dim
-        transpose = i * self.space.dim + j
+        i, j = vec % dim, vec // dim
+        transpose = i * dim + j
         group = np.abs(k[i] - k[j])
         # In group m >= 1 the pair of pos(i, j), pos(j, i), i < j, is one complex
         # slot z = rho_uv with k_u < k_v: Re at pos(i, j), Im at pos(j, i), and
@@ -158,22 +171,55 @@ class OperatorTable:
 
         # An entry in an Im row enters the complex block times i s_r, one in an
         # Im column times -i s_c; the Im columns between groups m >= 1 are the
-        # twins, implied by the rest.  Every block but L[0, 0] is complex, and
-        # flat indexes its float64 view, real and imaginary parts interleaved.
-        twins = (row_group > 0) & imag[cols]
+        # twins, implied by the rest.  Every block but L[0, 0] is complex.
+        # Elimination step b lays the blocks it reads out in one buffer, each
+        # C-contiguous, with L[b, b-1] one column wider for group b's
+        # right-hand side; dest indexes the buffer's float64 view, real and
+        # imaginary parts interleaved.
+        sizes = np.diff(bounds).tolist()
+        top = len(sizes) - 1
+        first, step = np.zeros((2, top + 1, top + 1), dtype=int)
+        buffers = {}
+        for s in range(top, 0, -1):
+            views, start = {}, 0
+            for a, b in [(top, top)] * (s == top) + [(s, s - 1), (s - 1, s), (s - 1, s - 1)]:
+                rows_ab, cols_ab = sizes[a], sizes[b] + (a == b + 1)
+                views[a, b] = (start, rows_ab, cols_ab)
+                first[a, b], step[a, b] = 2 * start, s
+                # the real L[0, 0] takes half as many complex elements, rounded up
+                start += -(-rows_ab * cols_ab // 2) if a == b == 0 else rows_ab * cols_ab
+            buffers[s] = (start, views)
         factor = np.where(imag[rows], sign[rows], 1.0) * np.where(imag[cols], -sign[cols], 1.0)
-        width = np.diff(bounds)[col_group]
+        width = np.array(sizes)[col_group] + (row_group == col_group + 1)
         flat = local[rows] * width + local[cols]
         complex_block = (row_group > 0) | (col_group > 0)
         flat[complex_block] = 2 * flat[complex_block] + (imag[rows] | imag[cols])[complex_block]
-        entries = {}
-        for a in range(len(bounds) - 1):
-            for b in range(max(a - 1, 0), min(a + 2, len(bounds) - 1)):
-                index = np.flatnonzero((row_group == a) & (col_group == b) & ~twins)
-                entries[a, b] = (_frozen(flat[index]), _frozen(index), _frozen(factor[index]))
+        dest = flat + first[row_group, col_group]
+        # One list of entries, step by step from the top, without the twins.
+        twins = (row_group > 0) & imag[cols]
+        by_step = [np.flatnonzero((step[row_group, col_group] == s) & ~twins) for s in buffers]
+        kept = np.concatenate(by_step)
+        cuts = np.cumsum([0, *map(len, by_step)]).tolist()
+        steps = {
+            s: (size, _frozen(dest[index]), slice(lo, hi), views)
+            for (s, (size, views)), index, lo, hi in zip(buffers.items(), by_step, cuts, cuts[1:])
+        }
+
+        # C-order position v of a dim x dim matrix holds rho[j, i]: Re from
+        # pos(lo, hi), Im from pos(hi, lo) times sign(i - j), as in
+        # from_real_coordinates.  The max |rho_ij| reads the diagonal and the
+        # pairs (pos(i, j), pos(j, i)), i < j.
+        lo, hi = np.minimum(i, j), np.maximum(i, j)
+        source = np.stack([hi * dim + lo, lo * dim + hi], axis=1).ravel()
+        weight = np.stack([np.ones(n), np.sign(i - j)], axis=1).ravel()
+        trace = (i == j).astype(float)
+        pairs = np.flatnonzero(i < j)
         slots = order[bounds[1] :]
         return BlockLayout(
-            _frozen(order), _frozen(transpose[slots]), _frozen(sign[slots]), _frozen(bounds), entries
+            _frozen(order), _frozen(transpose[slots]), _frozen(sign[slots]), _frozen(bounds),
+            (_frozen(kept), _frozen(factor[kept])), steps, _frozen(trace),
+            (_frozen(source), _frozen(weight)),
+            (_frozen(np.flatnonzero(i == j)), _frozen(pairs), _frozen(transpose[pairs])),
         )
 
     def values(self, params: SystemParams) -> np.ndarray:
@@ -188,48 +234,78 @@ class OperatorTable:
 
 @dataclass(frozen=True)
 class BlockLayout:
-    """Coordinates grouped by m = |k_i - k_j| at vec position (i, j).
+    """The steady-state solve's plan: coordinates grouped by m = |k_i - k_j| at
+    vec position (i, j), and where each point's blocks and outputs sit.
 
     Only the drive changes a k, and by one, so the generator couples group m
     to groups m - 1, m and m + 1 alone: it is block tridiagonal over m.
     Group 0 keeps the real coordinates.  In group m >= 1, L maps each
     coherence rho_uv with k_u < k_v to coherences of that orientation or
     into group 0, so the group is solved in complex slots z = rho_uv.
+    Everything here depends on the space alone: a point fills fresh buffers,
+    so one plan serves concurrent solves.
 
     order   -- group 0's vec positions, then each slot's Re position, by
                group: group b is order[bounds[b]:bounds[b + 1]], and
                position 0 leads group 0
     imag    -- Im position of each slot of order[bounds[1]:]
     sign    -- s of each slot: z = x[Re] + i s x[Im]
-    entries -- (a, b) with |a - b| <= 1 -> (flat index into the float64 view
-               of block L[a, b], index into the table's values, factor +-1)
+    fill    -- (index into the table's values, factor +-1) of every block
+               entry, step by step
+    steps   -- elimination step b = top, ..., 1 -> (complex elements of its
+               buffer; index into the buffer's float64 view of each of its
+               entries; the slice of fill they take; {(a, b): (first complex
+               element, rows, columns)} of the blocks it reads: L[b, b-1], with
+               one more column for group b's right-hand side, L[b-1, b] and
+               L[b-1, b-1], and at b = top L[top, top] too)
+    trace   -- the trace row: 1 at the diagonal positions pos(i, i)
+    hermitian -- (source, weight): the float64 view of rho in C order is
+               weight * x[source]
+    magnitude -- (diagonal, Re, Im) positions: the diagonal, and the pair
+               (pos(i, j), pos(j, i)) of each i < j
     """
 
     order: np.ndarray
     imag: np.ndarray
     sign: np.ndarray
     bounds: np.ndarray
-    entries: dict[tuple[int, int], tuple[np.ndarray, np.ndarray, np.ndarray]]
+    fill: tuple[np.ndarray, np.ndarray]
+    steps: dict[int, tuple[int, np.ndarray, slice, dict]]
+    trace: np.ndarray
+    hermitian: tuple[np.ndarray, np.ndarray]
+    magnitude: tuple[np.ndarray, np.ndarray, np.ndarray]
 
     def members(self, b: int) -> np.ndarray:
         """Vec positions of group 0, or the Re positions of group b's slots."""
         return self.order[self.bounds[b] : self.bounds[b + 1]]
 
-    def block(self, values: np.ndarray, a: int, b: int) -> np.ndarray:
-        """Block L[a, b]: rows of group a, columns of group b; complex unless a = b = 0.
+    def entries(self, values: np.ndarray) -> np.ndarray:
+        """Every block entry at one point, in the order of fill."""
+        index, factor = self.fill
+        return factor * values[index]
 
-        L[0, 1] acts on the slots z of group 1 as z -> Re(L[0, 1] z).
+    def assemble(self, entries: np.ndarray, b: int) -> dict[tuple[int, int], np.ndarray]:
+        """The blocks elimination step b reads, as views into one fresh buffer
+        filled by one assignment from the point's entries.
+
+        Every block is complex but L[0, 0]; L[0, 1] acts on the slots z of
+        group 1 as z -> Re(L[0, 1] z).  The last column of L[b, b-1] is zero,
+        left for group b's right-hand side.
         """
-        flat, index, factor = self.entries[a, b]
-        shape = (self.bounds[a + 1] - self.bounds[a], self.bounds[b + 1] - self.bounds[b])
-        m = np.zeros(shape, dtype=float if a == b == 0 else complex)
-        m.view(float).ravel()[flat] = factor * values[index]
-        return m
+        size, dest, part, spans = self.steps[b]
+        buffer = np.zeros(size, dtype=complex)
+        buffer.view(float)[dest] = entries[part]
+        blocks = {}
+        for key, (start, rows, cols) in spans.items():
+            view = buffer[start:].view(float) if key == (0, 0) else buffer[start:]
+            blocks[key] = view[: rows * cols].reshape(rows, cols)
+        return blocks
 
     def gather(self, x: np.ndarray) -> list[np.ndarray]:
         """Each group's part of the real coordinates x: group 0 real, then slots z."""
         slots = x[self.order[self.bounds[1] :]] + 1j * self.sign * x[self.imag]
-        return [x[self.members(0)], *np.split(slots, self.bounds[2:-1] - self.bounds[1])]
+        cuts = (self.bounds[1:] - self.bounds[1]).tolist()
+        return [x[self.members(0)], *(slots[lo:hi] for lo, hi in zip(cuts[:-1], cuts[1:]))]
 
     def scatter(self, parts: list[np.ndarray]) -> np.ndarray:
         """Real coordinates from each group's part: the inverse of gather."""
@@ -239,6 +315,20 @@ class BlockLayout:
         x[self.order[self.bounds[1] :]] = slots.real
         x[self.imag] = self.sign * slots.imag
         return x
+
+    def matrix(self, x: np.ndarray) -> np.ndarray:
+        """Hermitian matrix whose real coordinates are x: from_real_coordinates
+        bit for bit where x is finite."""
+        source, weight = self.hermitian
+        dim = self.magnitude[0].size  # one diagonal position per ket
+        # + 0.0 turns -0.0 into 0.0, as the sums in from_real_coordinates do
+        return (weight * x[source] + 0.0).view(complex).reshape(dim, dim)
+
+    def largest(self, x: np.ndarray) -> float:
+        """max |rho_ij| of the Hermitian matrix whose real coordinates are x; the same
+        number as np.max(np.abs(from_real_coordinates(x, dim))), nan included."""
+        diagonal, re, im = self.magnitude
+        return float(np.maximum(np.abs(x[diagonal]).max(), np.abs(x[re] + 1j * x[im]).max()))
 
 
 def _products(left: np.ndarray, right: np.ndarray, coef: complex, dim: int):

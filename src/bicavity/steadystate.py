@@ -10,13 +10,17 @@ The solve eliminates the groups from the top down to group 1 by Schur
 complements, takes the real part of the update into group 0, solves group 0
 with the trace condition in place of the row of rho[0, 0], and
 back-substitutes: in exact arithmetic the same system as one dense LU, at
-about a seventh of its flops, on dense blocks built per point from the
-table's entries.  The elimination does not pivot across groups and loses
-digits when the drive is much larger than kappa, so it is refined with
-itself: each step solves for the correction from the residual of the last,
-and the first step is the plain elimination.  The residual max |L[rho]| is
-checked after each step by a sparse product with the same entries, and
-refinement stops at a step that does not lower it.  rho must be positive
+about a seventh of its flops.  The table's solve plan (dynamics.BlockLayout,
+built once per space) says where each block entry sits, so a point only
+forms its entries, fills one fresh buffer per elimination step, and runs the
+LAPACK solves and BLAS products on the views.  The elimination does not
+pivot across groups and loses digits when the drive is much larger than
+kappa, so it is refined with itself: each step solves for the correction
+from the residual of the last, and the first step, whose right-hand side at
+x = 0 is known (-e_0), is the plain elimination.  The residual max |L[rho]|
+is checked after each step by a sparse product with the same entries, read
+off the real coordinates by the plan's index maps, and refinement stops at a
+step that does not lower it.  rho must be positive
 semi-definite; a nan residual or eigenvalue fails these checks.  A point with
 g_a = g_b = gamma_a = 0 is refused before any solve: the emitter is then
 decoupled and undamped, and its populations are conserved.  The observables
@@ -40,7 +44,6 @@ import numpy as np
 from .dynamics import (  # noqa: F401
     BlockLayout,
     Superoperator,
-    from_real_coordinates,
     liouvillian,
     operator_table,
 )
@@ -84,21 +87,21 @@ def steady_state(lv: Superoperator) -> DensityMatrix:
             "populations are conserved, so the steady state is not unique"
         )
     table = operator_table(lv.space)
-    dim = table.space.dim
+    layout = table.blocks
     values = table.values(p)
-    trace = np.zeros(dim * dim)
-    trace[np.arange(dim) * (dim + 1)] = 1.0
-    x = np.zeros(dim * dim)
+    x = np.zeros(layout.trace.size)
+    step = np.zeros(x.size)  # L x and trace @ x - 1 at x = 0
+    step[0] = -1.0
     previous = np.inf
     try:
         for _ in range(8):
-            step = table.matvec(values, x)
-            step[0] = trace @ x - 1.0
-            x -= _block_solve(table.blocks, values, trace, step)
-            rho, residual = _state(table, values, x, trace)
+            x -= _block_solve(layout, values, step)
+            rho, residual = _state(table, values, x)
             if residual <= RESIDUAL_TOL or not residual < previous:  # nan fails both
                 break
             previous = residual
+            step = table.matvec(values, x)
+            step[0] = layout.trace @ x - 1.0
         if not residual <= RESIDUAL_TOL:
             raise SteadyStateSolverError(
                 f"steady-state residual {residual:.3e} above {RESIDUAL_TOL:.0e}",
@@ -122,13 +125,14 @@ def steady_state(lv: Superoperator) -> DensityMatrix:
     return DensityMatrix(rho, lv.space, residual)
 
 
-def _block_solve(layout: BlockLayout, values, trace, rhs) -> np.ndarray:
+def _block_solve(layout: BlockLayout, values, rhs) -> np.ndarray:
     """Real coordinates x with L x = rhs except in row 0, where trace @ x = rhs[0].
 
     Group b's rows read L[b, b-1] x_{b-1} + D_b x_b + L[b, b+1] x_{b+1} = r_b,
     with x_b and r_b complex slots for b >= 1 and real for group 0.  From the
     top group down to group 1, x_b = y_b - X_b x_{b-1} with y_b = D_b^-1 r_b
-    and X_b = D_b^-1 L[b, b-1], which turns group b - 1's diagonal block into
+    and X_b = D_b^-1 L[b, b-1], both from one solve against L[b, b-1] and the
+    column r_b beside it, which turns group b - 1's diagonal block into
     D_{b-1} = L[b-1, b-1] - L[b-1, b] X_b and its right-hand side into
     r_{b-1} - L[b-1, b] y_b; into group 0 both updates take the real part.
     Group 0's block, with the row of vec position 0 replaced by the trace row,
@@ -136,18 +140,22 @@ def _block_solve(layout: BlockLayout, values, trace, rhs) -> np.ndarray:
     """
     top = len(layout.bounds) - 2
     eliminated = [None] * (top + 1)
-    parts = layout.gather(rhs)
-    d = layout.block(values, top, top)
+    entries, parts = layout.entries(values), layout.gather(rhs)
     for b in range(top, 0, -1):
-        solved = np.linalg.solve(d, np.column_stack([layout.block(values, b, b - 1), parts[b]]))
+        blocks = layout.assemble(entries, b)
+        if b == top:
+            d = blocks[top, top]
+        lower, upper = blocks[b, b - 1], blocks[b - 1, b]
+        lower[:, -1] = parts[b]
+        solved = np.linalg.solve(d, lower)
         eliminated[b], parts[b] = solved[:, :-1], solved[:, -1]
-        upper = layout.block(values, b - 1, b)
         schur, update = upper @ eliminated[b], upper @ parts[b]
         if b == 1:  # L[0, 1] acts on group 1's slots z as Re(L[0, 1] z)
             schur, update = schur.real, update.real
-        d = layout.block(values, b - 1, b - 1) - schur
+        d = blocks[b - 1, b - 1] - schur
         parts[b - 1] -= update
-    d[0] = trace[layout.members(0)]
+        del blocks, lower, upper  # free the step's buffer before the next one is filled
+    d[0] = layout.trace[layout.members(0)]
     parts[0][0] = rhs[0]
     parts[0] = np.linalg.solve(d, parts[0])
     for b in range(1, top + 1):
@@ -155,12 +163,11 @@ def _block_solve(layout: BlockLayout, values, trace, rhs) -> np.ndarray:
     return layout.scatter(parts)
 
 
-def _state(table, values, x, trace) -> tuple[np.ndarray, float]:
+def _state(table, values, x) -> tuple[np.ndarray, float]:
     """Unit-trace rho from real coordinates x, and its residual max |L[rho]|."""
-    x = x / (trace @ x)
-    dim = table.space.dim
-    residual = float(np.max(np.abs(from_real_coordinates(table.matvec(values, x), dim))))
-    return from_real_coordinates(x, dim), residual
+    layout = table.blocks
+    x = x / (layout.trace @ x)
+    return layout.matrix(x), layout.largest(table.matvec(values, x))
 
 
 def _number(rho: DensityMatrix, mode: str) -> np.ndarray:

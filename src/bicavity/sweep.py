@@ -614,7 +614,9 @@ def _check_readable(table: ResultTable) -> None:
 
 
 def read_csv(path) -> ResultTable:
-    """Inverse of emit_csv()."""
+    """Inverse of emit_csv().  A metadata line is split at the writer's '# ' and
+    first ' = ' alone, so keys and values keep their spaces; a line starting
+    with '#' that is not '# key = value' is a ValueError."""
     metadata: dict[str, str] = {}
     columns: list[str] | None = None
     rows: list[list[float]] = []
@@ -624,8 +626,10 @@ def read_csv(path) -> ResultTable:
             if not line:
                 continue
             if line.startswith("#"):
-                key, _, value = line[1:].partition("=")
-                metadata[key.strip()] = value.strip()
+                key, sep, value = line[2:].partition(" = ")
+                if not (line.startswith("# ") and sep):
+                    raise ValueError(f"metadata line {line!r} in {path} is not '# key = value'")
+                metadata[key] = value
             elif columns is None:
                 columns = line.split(",")
             else:

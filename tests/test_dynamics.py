@@ -10,7 +10,7 @@ from bicavity import (
     build_space,
     reference_baseline,
 )
-from bicavity.dynamics import FIELDS, operator_table
+from bicavity.dynamics import FIELDS, from_real_coordinates, operator_table
 from test_properties import generator_action, kronecker_liouvillian, random_density
 
 
@@ -219,8 +219,7 @@ def test_only_the_drive_joins_neighbouring_groups(cutoffs):
     positions = np.concatenate([layout.order, layout.imag])
     assert np.array_equal(np.sort(positions), np.arange(dim**2))
     # Every generator entry is in exactly one block or is a checked twin.
-    kept = [index for _, index, _ in layout.entries.values()]
-    index = np.concatenate([*kept, twin_entries(table)])
+    index = np.concatenate([layout.fill[0], twin_entries(table)])
     assert np.array_equal(np.sort(index), np.arange(table.generator[0].size))
 
 
@@ -229,6 +228,46 @@ def test_gather_then_scatter_returns_the_coordinates(cutoffs):
     layout = operator_table(build_space(*cutoffs)).blocks
     x = np.random.default_rng(sum(cutoffs)).standard_normal(layout.order.size + layout.imag.size)
     assert np.array_equal(layout.scatter(layout.gather(x)), x)
+
+
+@pytest.mark.parametrize("cutoffs", CUTOFFS)
+def test_assembled_blocks_act_as_the_generator(cutoffs):
+    # Each elimination step's buffer holds its blocks; together they are the
+    # block-tridiagonal generator, and L[b, b-1]'s extra column starts at zero.
+    table = operator_table(build_space(*cutoffs))
+    layout = table.blocks
+    rng = np.random.default_rng(sum(cutoffs))
+    values = table.values(SystemParams(*rng.uniform(0.5, 2.0, len(FIELDS))))
+    x = rng.standard_normal(table.space.dim**2)
+    entries, xs, ys = layout.entries(values), layout.gather(x), layout.gather(table.matvec(values, x))
+    blocks = {}
+    for step in range(len(layout.bounds) - 2, 0, -1):
+        assembled = layout.assemble(entries, step)
+        assert not np.any(assembled[step, step - 1][:, -1])
+        assembled[step, step - 1] = assembled[step, step - 1][:, :-1]
+        blocks.update(assembled)
+    for a, y in enumerate(ys):
+        out = sum(blocks[a, b] @ xs[b] for b in range(max(a - 1, 0), min(a + 2, len(xs))))
+        np.testing.assert_allclose(out.real if a == 0 else out, y, rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("cutoffs", CUTOFFS)
+def test_plan_reads_rho_and_its_largest_entry_as_the_generic_map(cutoffs):
+    # The plan's index maps give from_real_coordinates bit for bit on finite
+    # coordinates (zeros of either sign included), and its max |rho_ij| on any.
+    space = build_space(*cutoffs)
+    layout, dim = operator_table(space).blocks, space.dim
+    rng = np.random.default_rng(sum(cutoffs))
+    x = rng.standard_normal(dim**2) * rng.integers(0, 2, dim**2)
+    x[rng.integers(0, 2, dim**2) == 1] *= -1.0
+    assert layout.matrix(x).tobytes() == from_real_coordinates(x, dim).tobytes()
+    for special in (np.inf, -np.inf, np.nan):
+        for position in (0, 1, dim, dim**2 - 1):
+            y = x.copy()
+            y[position] = special
+            with np.errstate(invalid="ignore"):
+                expected = np.max(np.abs(from_real_coordinates(y, dim)))
+                assert np.array_equal(layout.largest(y), expected, equal_nan=True)
 
 
 def test_a_twin_that_breaks_complex_linearity_is_caught():

@@ -375,6 +375,30 @@ def test_csv_empty_table(tmp_path):
     assert back.metadata == {"note": "empty"}
 
 
+@pytest.mark.parametrize("metadata", [
+    {" label ": " padded "},
+    {"note": "a = b = c", "empty": "", "": "no key", "tab": "\tx\t"},
+], ids=["padded", "separators"])
+def test_csv_metadata_keeps_its_whitespace(tmp_path, metadata):
+    path = tmp_path / "t.csv"
+    emit_csv(ResultTable(["x"], [[1.0]], metadata), path)
+    assert read_csv(path).metadata == metadata
+
+
+def test_padded_label_reads_back_as_written(tmp_path):
+    path = tmp_path / "t.csv"
+    emit_csv(run_sweep(small_spec(label=" x")), path)
+    assert read_csv(path).metadata["label"] == " x"
+
+
+@pytest.mark.parametrize("line", ["#key = value", "# key=value", "# key"])
+def test_read_csv_rejects_a_metadata_line_it_did_not_write(tmp_path, line):
+    path = tmp_path / "bad.csv"
+    path.write_text(f"{line}\nx\n1.0\n")
+    with pytest.raises(ValueError, match="not '# key = value'"):
+        read_csv(path)
+
+
 def test_read_csv_rejects_headerless(tmp_path):
     path = tmp_path / "bad.csv"
     path.write_text("# only = metadata\n")

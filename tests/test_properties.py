@@ -4,8 +4,9 @@ the stacked weak-drive sweep and the stacked spectrum sweep.
 The reference for the table is the direct construction: the Lindblad
 generator assembled from Kronecker products of the full operators, and its
 steady state from a dense complex solve with the trace condition in place of
-the first row.  The reference for an analytic sweep is a loop of
-solve_weak_drive calls, one per grid point; for a spectrum sweep it is
+the first row, on boxes and on spaces that cap the total excitation.  The
+reference for an analytic sweep is a loop of solve_weak_drive calls, one per
+grid point; for a spectrum sweep it is
 spectrum() at each point, and field_means where no emitter couples (g = 0).
 Four limits of the steady state are checked too: the cw mode stays empty
 without J and g_b, at gamma_p = 0 the g2 of the master equation tends to the
@@ -201,6 +202,33 @@ def test_steady_state_matches_complex_solve(point):
 def test_strong_drive_steady_state_matches_complex_solve(point):
     p, space = point
     rho = solve_steady(p, space.n_a_max, space.n_b_max)
+    reference = complex_steady_state(kronecker_liouvillian(p, space), space.dim)
+    assert np.max(np.abs(rho.matrix - reference)) <= 1e-10
+
+
+@st.composite
+def capped(draw, boxed):
+    """The parameters of a point of boxed on a space that caps the total
+    excitation, as the ladder's levels do: cutoffs 1 to 4, caps 1 to 4."""
+    p, _ = draw(boxed)
+    n_a, n_b = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    return p, build_space(n_a, n_b, draw(st.integers(1, min(n_a + n_b, 4))))
+
+
+@PROPERTY_SETTINGS
+@given(capped(points()))
+def test_capped_steady_state_matches_complex_solve(point):
+    p, space = point
+    rho = solve_steady(p, space.n_a_max, space.n_b_max, space.max_excitation)
+    reference = complex_steady_state(kronecker_liouvillian(p, space), space.dim)
+    assert np.max(np.abs(rho.matrix - reference)) <= 1e-10
+
+
+@PROPERTY_SETTINGS
+@given(capped(strong_points()))
+def test_strong_drive_capped_steady_state_matches_complex_solve(point):
+    p, space = point
+    rho = solve_steady(p, space.n_a_max, space.n_b_max, space.max_excitation)
     reference = complex_steady_state(kronecker_liouvillian(p, space), space.dim)
     assert np.max(np.abs(rho.matrix - reference)) <= 1e-10
 

@@ -1,3 +1,6 @@
+import sys
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -10,14 +13,17 @@ from bicavity import (
     annihilator,
     build_space,
     check_truncation,
+    figure_preset,
     g2_closed_form,
     g2_zero,
     liouvillian,
     master_equation_g2,
     mean_photon,
     reference_baseline,
+    run_sweep,
     solve_steady,
     steady_state,
+    value_axis,
 )
 from bicavity import steadystate
 from bicavity.dynamics import operator_table
@@ -183,10 +189,8 @@ def test_refinement_recovers_a_strong_drive_elimination(g_a, cutoff):
     space = build_space(cutoff, cutoff)
     table = operator_table(space)
     values = table.values(p)
-    trace = np.zeros(space.dim**2)
-    trace[np.arange(space.dim) * (space.dim + 1)] = 1.0
-    x = steadystate._block_solve(table.blocks, values, trace, np.eye(space.dim**2)[0])
-    assert steadystate._state(table, values, x, trace)[1] > RESIDUAL_TOL
+    x = steadystate._block_solve(table.blocks, values, np.eye(space.dim**2)[0])
+    assert steadystate._state(table, values, x)[1] > RESIDUAL_TOL
 
     rho = solve_steady(p, cutoff, cutoff)
     assert rho.residual <= RESIDUAL_TOL
@@ -223,6 +227,32 @@ def test_refinement_stops_at_a_step_that_does_not_lower_the_residual(monkeypatch
         solve_steady(reference_baseline(), 2, 2)
     assert len(calls) == 3
     assert caught.value.residual == reported[2]
+
+
+@pytest.mark.parametrize("threads", [2, 4])
+def test_the_cached_plan_holds_no_point_state(threads):
+    # The plan is built once per space and shared by every solve on it, also
+    # by the threads of a sweep: solving other points, one of them refined,
+    # and a threaded sweep on the same space (switching threads often) leave
+    # a point's state, and the sweep's rows, the same to the last bit.
+    p1 = reference_baseline(delta=-40.0, delta_a=-40.0, j_coupling=600.0)
+    p2 = SystemParams(kappa=1.0, drive=1000.0, g_a=0.5, j_coupling=0.1, gamma_a=1.0)
+    first = solve_steady(p1, 2, 2)
+    solve_steady(p2, 2, 2)
+    fig3 = figure_preset("fig3")
+    deltas = value_axis("delta", np.linspace(-120.0, 120.0, 16))
+    spec = replace(fig3, cutoff=2, axes=(fig3.axes[0], deltas))
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threaded = run_sweep(spec, threads=threads)
+    finally:
+        sys.setswitchinterval(interval)
+    assert threaded.metadata["points_failed"] == "0"
+    assert threaded.cells.tobytes() == run_sweep(spec).cells.tobytes()
+    again = solve_steady(p1, 2, 2)
+    assert again.matrix.tobytes() == first.matrix.tobytes()
+    assert again.residual.hex() == first.residual.hex()
 
 
 def counted_block_solves(monkeypatch) -> list:
