@@ -6,8 +6,8 @@ Library layout:
 * fock         -- truncated composite space and elementary operators
 * dynamics     -- Hamiltonians and the Lindblad generator (cached affine table)
 * steadystate  -- steady-state solve, photon numbers, g2(0)
-* weakdrive    -- two-excitation ansatz, closed-form amplitudes and g2(0)
-* meanfield    -- linear-response transmission/reflection spectra, scatterer coupling
+* weakdrive    -- two-excitation ansatz, closed-form amplitudes and g2(0),
+                  linear-response transmission/reflection spectra, scatterer coupling
 * sweep        -- parameter sweeps, figure presets, CSV output
 * cli          -- command-line entry point (``bicavity``)
 """
@@ -46,14 +46,12 @@ from .steadystate import (
 )
 from .weakdrive import (
     AmplitudeSet,
+    ScattererSpec,
     c_amplitudes_closed_form,
     g2_closed_form,
     g2_ratio_asymptotic,
-    solve_weak_drive,
-)
-from .meanfield import (
-    ScattererSpec,
     scatterer_coupling,
+    solve_weak_drive,
     spectrum,
 )
 from .sweep import (

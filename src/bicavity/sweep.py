@@ -7,13 +7,16 @@ so 2-D scans always stay rectangular: a package error's `code` names its key
 in ERROR_CODES, and any other exception propagates.
 
 The grid is built once as an array of parameter rows.  Engines run in the
-order of _OUTPUTS, each on the rows that have not failed yet.  The weak-drive
-system is solved as stacked chunks of rows, and the spectrum outputs p_t, p_r
-as one stacked linear-response solve over all rows, both in the calling
-thread.  Only the master equation is solved point by point; threads > 1
-spreads its points over a thread pool, in the same row order.  Two threads
-measured 0.99x the one-thread speed; the pool stays because the benchmark in
-perfbench/ passes threads=.
+order of _OUTPUTS, each on the rows that have not failed yet.  Each engine is
+one function of _ENGINES from (spec, readers, rows, threads) to (values
+(n, outputs), codes (n,), metadata lines), and run_sweep merges the lines
+into the metadata after points_failed.  The weak-drive system is solved as
+stacked chunks of rows, and the spectrum outputs p_t, p_r as one stacked
+linear-response solve over all rows, both in the calling thread.  Only the
+master equation is solved point by point; threads > 1 spreads its points over
+a thread pool, in the same row order.  Two threads measured 0.99x the
+one-thread speed; the pool stays because the benchmark in perfbench/ passes
+threads=.
 
 At cutoff N >= 4 a master-equation point first climbs a ladder of smaller
 solves (_ladder): level K = 3, 4, ..., N + 1 keeps only the kets of the
@@ -50,7 +53,6 @@ from . import __version__
 from .errors import (AnalyticSingularityError, BicavityError, InvalidTruncationError,
                      SweepError, UndefinedCorrelationError, WeakDriveDomainError)
 from .dynamics import FIELDS, theta
-from .meanfield import normalized_spectrum
 from .params import SystemParams, check_field, reference_baseline
 from .steadystate import g2_zero, mean_photon, solve_steady
 from .weakdrive import (
@@ -59,11 +61,11 @@ from .weakdrive import (
     g2_driven,
     hierarchy_violated,
     in_domain,
+    normalized_spectrum,
     solve_weak_drive_rows,
 )
 # Not called here; kept as attributes that perfbench/tracer.py SITES patches.
-from .meanfield import spectrum  # noqa: F401
-from .weakdrive import c_amplitudes_closed_form, g2_closed_form, solve_weak_drive  # noqa: F401
+from .weakdrive import c_amplitudes_closed_form, g2_closed_form, solve_weak_drive, spectrum  # noqa: F401
 
 # Output -> (engine, reader of that engine's result), in evaluation order:
 # master equation (n before g2), weak drive, spectrum.  Master-equation
@@ -81,8 +83,8 @@ _OUTPUTS = {
     "g2_analytic": ("analytic", lambda c: g2_driven(c[:, 0], c[:, 3])),
     "c1_abs2": ("analytic", lambda c: abs2(c[:, 0])),
     "c2_abs2": ("analytic", lambda c: abs2(c[:, 3])),
-    "p_t": ("mean_field", lambda columns: columns[0]),
-    "p_r": ("mean_field", lambda columns: columns[1]),
+    "p_t": ("spectrum", lambda columns: columns[0]),
+    "p_r": ("spectrum", lambda columns: columns[1]),
 }
 ALL_OUTPUTS = tuple(_OUTPUTS)
 MASTER_OUTPUTS = tuple(o for o, (engine, _) in _OUTPUTS.items() if engine == "master_equation")
@@ -287,10 +289,11 @@ def _master_rows(spec: SweepSpec, readers, thetas: np.ndarray, threads: int):
     """Solve the master equation point by point and read its outputs.
 
     Each point runs the ladder (caps up to cutoff + 1) first and falls back to
-    the box.  Returns (values (n, outputs), codes (n,), residuals, levels): on
-    failure a point keeps the outputs read so far and nan for the rest, and
-    levels counts the points decided at each accepted ladder level 4, ...,
-    cutoff + 1 and at the box (BOX_LEVEL).
+    the box.  On failure a point keeps the outputs read so far and nan for the
+    rest.  The metadata lines are max_residual, the largest residual of the
+    solved points, and above cutoff LADDER_START master_levels, the count of
+    points decided at each accepted ladder level 4, ..., cutoff + 1 and at the
+    box (BOX_LEVEL).
     """
 
     def work(row):
@@ -318,11 +321,15 @@ def _master_rows(spec: SweepSpec, readers, thetas: np.ndarray, threads: int):
     values = np.array([out for out, _, _, _ in results], dtype=float).reshape(len(thetas), -1)
     codes = np.array([code for _, code, _, _ in results], dtype=int)
     residuals = [r for _, _, r, _ in results if not math.isnan(r)]
-    levels = Counter(level for _, _, _, level in results)
-    return values, codes, residuals, levels
+    lines = {"max_residual": repr(max(residuals)) if residuals else "nan"}
+    if spec.cutoff > LADDER_START:
+        levels = Counter(level for _, _, _, level in results)
+        decided = [*range(LADDER_START + 1, spec.cutoff + 2), BOX_LEVEL]
+        lines["master_levels"] = ";".join(f"{level}:{levels[level]}" for level in decided)
+    return values, codes, lines
 
 
-def _analytic_rows(readers, thetas: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _analytic_rows(spec: SweepSpec, readers, thetas: np.ndarray, threads: int):
     """The weak-drive outputs and codes of every row, from stacked solves in this thread.
 
     A failed row keeps nan in every weak-drive output, and its code is that of
@@ -351,7 +358,21 @@ def _analytic_rows(readers, thetas: np.ndarray) -> tuple[np.ndarray, np.ndarray]
             "(drive is not weak there); amplitudes may not describe the steady state",
             stacklevel=3,
         )
-    return values, codes
+    return values, codes, {}
+
+
+def _spectrum_rows(spec: SweepSpec, readers, thetas: np.ndarray, threads: int):
+    """The spectrum outputs and codes of every row, from one stacked
+    linear-response solve in this thread.  A row with a non-finite output gets
+    nan in every spectrum output and invalid_point, the base BicavityError code."""
+    columns = normalized_spectrum(thetas)
+    values = np.column_stack([read(columns) for read in readers])
+    unfit = ~np.isfinite(values).all(axis=1)
+    values[unfit] = np.nan
+    return values, np.where(unfit, ERROR_CODES[BicavityError.code], ERROR_CODES["ok"]), {}
+
+
+_ENGINES = {"master_equation": _master_rows, "analytic": _analytic_rows, "spectrum": _spectrum_rows}
 
 
 def run_sweep(spec: SweepSpec, threads: int = 1) -> ResultTable:
@@ -361,8 +382,7 @@ def run_sweep(spec: SweepSpec, threads: int = 1) -> ResultTable:
     points, thetas = _grid(spec)
     values = np.full((len(thetas), len(spec.outputs)), np.nan)
     codes = np.zeros(len(thetas), dtype=int)
-    residuals = []
-    levels = None
+    lines: dict[str, str] = {}
     plan: dict[str, list[str]] = {}
     for name, (engine, _) in _OUTPUTS.items():
         if name in spec.outputs:
@@ -370,28 +390,21 @@ def run_sweep(spec: SweepSpec, threads: int = 1) -> ResultTable:
     for engine, names in plan.items():
         live = np.flatnonzero(codes == ERROR_CODES["ok"])
         readers = [_OUTPUTS[name][1] for name in names]
-        if engine == "master_equation":
-            engine_values, codes[live], residuals, levels = _master_rows(
-                spec, readers, thetas[live], threads
-            )
-        elif engine == "analytic":
-            engine_values, codes[live] = _analytic_rows(readers, thetas[live])
-        else:
-            columns = normalized_spectrum(thetas[live])
-            engine_values = np.column_stack([read(columns) for read in readers])
-            unfit = ~np.isfinite(engine_values).all(axis=1)
-            codes[live[unfit]], engine_values[unfit] = ERROR_CODES[BicavityError.code], np.nan
+        engine_values, codes[live], engine_lines = _ENGINES[engine](spec, readers, thetas[live], threads)
+        lines.update(engine_lines)
         values[np.ix_(live, [spec.outputs.index(name) for name in names])] = engine_values
 
     failed = int(np.count_nonzero(codes))
     if failed == len(codes):
         raise SweepError("every grid point of the sweep failed")
     columns = [axis.name for axis in spec.axes] + list(spec.outputs) + ["error"]
-    metadata = _metadata(spec, len(codes), failed, residuals, levels)
+    metadata = _metadata(spec, len(codes), failed, lines)
     return ResultTable(columns, np.column_stack([points, values, codes]), metadata)
 
 
-def _metadata(spec: SweepSpec, total: int, failed: int, residuals, levels) -> dict[str, str]:
+def _metadata(spec: SweepSpec, total: int, failed: int, lines) -> dict[str, str]:
+    """The sweep's metadata.  The engines' lines follow points_failed, and
+    max_residual is nan unless an engine gives it."""
     md = {
         "tool": "bicavity",
         "version": __version__,
@@ -412,10 +425,7 @@ def _metadata(spec: SweepSpec, total: int, failed: int, residuals, levels) -> di
             md[f"axis{k}"] = f"{axis.name}: " + ",".join(repr(v) for v in axis.values)
     md["points_total"] = str(total)
     md["points_failed"] = str(failed)
-    md["max_residual"] = repr(max(residuals)) if residuals else "nan"
-    if levels is not None and spec.cutoff > LADDER_START:
-        decided = [*range(LADDER_START + 1, spec.cutoff + 2), BOX_LEVEL]
-        md["master_levels"] = ";".join(f"{level}:{levels[level]}" for level in decided)
+    md.update({"max_residual": "nan", **lines})
     md["error_codes"] = ";".join(f"{v}={k}" for k, v in ERROR_CODES.items())
     return md
 

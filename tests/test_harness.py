@@ -228,6 +228,49 @@ def test_mean_field_overflow_is_invalid_point():
     assert table.rows[0][1:3] == [p_t[0], p_r[0]]
 
 
+def test_each_engine_fails_its_own_rows_and_later_engines_skip_them(monkeypatch):
+    spec = SweepSpec(
+        base=reference_baseline(),
+        axes=(value_axis("gamma_p", [0.0, 3.0]), value_axis("delta", [-40.0, 0.0, 40.0])),
+        outputs=("n_ccw", "g2_ccw", "g2_analytic", "c1_abs2", "p_t", "p_r"),
+        cutoff=2,
+        tie_delta_a=True,
+    )
+    master, analytic, spectra = slice(2, 4), slice(4, 6), slice(6, 8)
+    gamma_p, delta = (sweep.FIELDS.index(name) for name in ("gamma_p", "delta"))
+    want = run_sweep(spec).cells
+    solve, normalized, seen = sweep.solve_steady, sweep.normalized_spectrum, []
+
+    def failing_below_resonance(params, *cutoffs):
+        if params.delta == -40.0 and params.gamma_p == 0.0:
+            raise SteadyStateSolverError("forced failure")
+        return solve(params, *cutoffs)
+
+    def overflowing_above_resonance(thetas):
+        seen.extend(thetas[:, [gamma_p, delta]].tolist())
+        columns = normalized(thetas)
+        columns[0][thetas[:, delta] == 40.0] = np.inf
+        return columns
+
+    monkeypatch.setattr(sweep, "solve_steady", failing_below_resonance)
+    monkeypatch.setattr(sweep, "normalized_spectrum", overflowing_above_resonance)
+    table = run_sweep(spec)
+    # rows (gamma_p, delta): the master equation fails (0, -40), the weak-drive
+    # domain (3, *) and the spectrum (0, 40); the spectrum sees only live rows
+    assert table.column("error").tolist() == [
+        ERROR_CODES["solver_failure"], ERROR_CODES["ok"], *[ERROR_CODES["invalid_point"]] * 4,
+    ]
+    assert seen == [[0.0, 0.0], [0.0, 40.0]]
+    assert table.metadata["points_failed"] == "5"
+    cells = table.cells
+    assert np.isnan(cells[0, 2:8]).all()
+    assert np.isnan(cells[3:, analytic]).all() and np.isnan(cells[3:, spectra]).all()
+    assert np.isnan(cells[2, spectra]).all()
+    kept = [(1, slice(2, 8)), (2, master), (2, analytic), (3, master), (4, master), (5, master)]
+    for row, columns in kept:
+        assert cells[row, columns].tolist() == want[row, columns].tolist()
+
+
 def test_weak_drive_solved_once_per_point(monkeypatch):
     rows, amplitudes = [], []
 

@@ -13,7 +13,8 @@ from bicavity import (
     spectrum,
     value_axis,
 )
-from bicavity.meanfield import field_means
+
+from empty_cavity import field_means
 
 
 def base(j=0.0, delta=0.0, kappa=40.0, drive=1.0):

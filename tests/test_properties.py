@@ -55,9 +55,10 @@ from bicavity import (
 )
 from bicavity import sweep
 from bicavity.dynamics import from_real_coordinates, operator_table, theta
-from bicavity.meanfield import field_means
 from bicavity.steadystate import PSD_TOL, UNDERFLOW_GUARD
 from bicavity.weakdrive import _KETS, abs2, solve_weak_drive_rows
+
+from empty_cavity import field_means
 
 
 def kronecker_liouvillian(p: SystemParams, space) -> np.ndarray:
@@ -435,6 +436,14 @@ def test_analytic_sweep_matches_point_by_point(drawn):
             assert (math.isnan(got) and math.isnan(want)) or math.isclose(got, want, rel_tol=1e-12)
 
 
+def engine_rows(p: SystemParams, outputs):
+    """(values, codes, metadata lines) of the engine of outputs, called directly
+    on the point's one row of a cutoff-4 sweep."""
+    spec = SweepSpec(base=p, axes=(value_axis("kappa", [p.kappa]),), outputs=outputs)
+    readers = [sweep._OUTPUTS[name][1] for name in outputs]
+    return sweep._ENGINES[sweep._OUTPUTS[outputs[0]][0]](spec, readers, theta(p)[None], 1)
+
+
 @st.composite
 def analytic_rows(draw):
     """One weak-drive parameter row: gamma_p = 0 or > 0, sometimes no drive, and
@@ -457,10 +466,9 @@ def analytic_rows(draw):
 @given(analytic_rows())
 def test_analytic_row_code_names_the_single_point_error(p):
     # A one-row run_sweep that fails raises SweepError, so the engine is read directly.
-    read_g2 = sweep._OUTPUTS["g2_analytic"][1]
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")  # the hierarchy warning at drive 1
-        values, codes = sweep._analytic_rows([read_g2], theta(p)[None])
+        values, codes, _ = engine_rows(p, ("g2_analytic",))
         try:
             g2, code = solve_weak_drive(p).g2_ccw, ERROR_CODES["ok"]
         except BicavityError as e:
@@ -578,11 +586,10 @@ def ladder_points(draw):
 
 def master_row(p: SystemParams, outputs=LADDER_OUTPUTS):
     """The point's cutoff-4 master-equation row as a sweep decides it: (outputs, code, level)."""
-    spec = SweepSpec(base=p, axes=(value_axis("kappa", [p.kappa]),), outputs=outputs)
-    readers = [sweep._OUTPUTS[name][1] for name in outputs]
-    values, codes, _, levels = sweep._master_rows(spec, readers, theta(p)[None], threads=1)
-    (level,) = levels
-    return values[0].tolist(), int(codes[0]), level
+    values, codes, lines = engine_rows(p, outputs)
+    counts = dict(field.split(":") for field in lines["master_levels"].split(";"))
+    (level,) = [level for level, count in counts.items() if count == "1"]
+    return values[0].tolist(), int(codes[0]), level if level == sweep.BOX_LEVEL else int(level)
 
 
 def box_row(p: SystemParams):

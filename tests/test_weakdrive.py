@@ -13,8 +13,9 @@ from bicavity import (
     solve_weak_drive,
 )
 from bicavity.dynamics import theta
-from bicavity.meanfield import field_means
 from bicavity.weakdrive import RESIDUAL_TOL, g2_driven, solve_weak_drive_rows
+
+from empty_cavity import field_means
 
 # frozen reference values for the baseline point (kappa=40, g=20, eps=1, gamma_a=1)
 G2_BASE_J0 = 0.46970546250487405
