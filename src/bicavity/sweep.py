@@ -18,16 +18,10 @@ a thread pool, in the same row order.  Two threads measured 0.99x the
 one-thread speed; the pool stays because the benchmark in perfbench/ passes
 threads=.
 
-At cutoff N >= 4 a master-equation point first climbs a ladder of smaller
-solves (_ladder): level K = 3, 4, ..., N + 1 keeps only the kets of the
-cutoff-N box with at most K excitations (fock.FockSpace's cap; the box itself
-is cap 2N + 1), and level K >= 4 is accepted when every requested output is
-within LADDER_RTOL of level K - 1.  A point that no level decides, or where a
-level raises a package error or reads a non-finite output, is solved on the
-full box, which alone decides error codes.  Below cutoff 4 no level can be
-checked and every point goes to the box.  Every solve goes through this
-module's solve_steady, with positional arguments, and the metadata line
-master_levels counts the points each level decided.
+A master-equation point is decided by _master_row: a ladder of solves on
+excitation caps inside the cutoff box, with the box as fallback.  Every solve
+goes through this module's solve_steady, with positional arguments, and the
+metadata line master_levels counts the points each level decided.
 
 The result stays one float64 array, ResultTable.cells, from run_sweep to the
 file: emit_csv writes it in blocks of _CHUNK rows and formats each repeated
@@ -42,10 +36,12 @@ Two axes may not set the same field, and an output is requested at most once.
 from __future__ import annotations
 
 import math
+import numbers
 import warnings
 from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
+from functools import partial
 
 import numpy as np
 
@@ -98,9 +94,8 @@ ERROR_CODES = {
     "degenerate_steady_state": 4,
     "invalid_point": 9,
 }
-# Master-equation ladder (_ladder): excitation caps LADDER_START, ..., cutoff + 1
-# inside the cutoff box, each checked against the one below to LADDER_RTOL
-# (relative).  The master_levels metadata names the full-box fallback BOX_LEVEL.
+# The master-equation ladder's first cap and tolerance, and the name of its
+# box fallback in the master_levels metadata (see _master_row).
 LADDER_START = 3
 LADDER_RTOL = 1e-6
 BOX_LEVEL = "box"
@@ -157,6 +152,8 @@ class SweepSpec:
             raise ValueError("a sweep has one or two axes")
         if not self.outputs:
             raise ValueError("at least one output is required")
+        if isinstance(self.cutoff, bool) or not isinstance(self.cutoff, numbers.Integral):
+            raise InvalidTruncationError(f"photon cutoff must be an integer, got {self.cutoff!r}")
         if self.cutoff < 1:
             raise InvalidTruncationError(f"photon cutoff must be >= 1, got {self.cutoff}")
         for k, out in enumerate(self.outputs):
@@ -176,11 +173,8 @@ class SweepSpec:
 
     @property
     def engine(self) -> str:
-        """The engines the outputs call for; spectrum outputs ride along with either."""
-        engines = {_OUTPUTS[out][0] for out in self.outputs}
-        if "master_equation" not in engines:
-            return "analytic"
-        return "both" if "analytic" in engines else "master_equation"
+        """The engines the outputs call for, in run order, joined by ','."""
+        return ",".join(_plan(self.outputs))
 
 
 class ResultTable:
@@ -256,77 +250,66 @@ def _grid(spec: SweepSpec) -> tuple[np.ndarray, np.ndarray]:
     return points, thetas
 
 
-def _ladder(params: SystemParams, cutoff: int, readers):
-    """(level, outputs, residual) of the first capped level K that agrees with
-    level K - 1, or None: the row then needs the box.
+def _master_row(params: SystemParams, cutoff: int, readers):
+    """(outputs, code, residual, level) of one master-equation point.
 
-    Levels K = LADDER_START, ..., cutoff + 1 solve on the kets of the cutoff
-    box with at most K excitations.  Level K is accepted when every output is
-    within LADDER_RTOL of level K - 1, relative to its own value.  A level
-    that raises a package error or reads a non-finite output ends the ladder,
-    so the box alone decides a row's error code.
+    Above cutoff LADDER_START the point climbs levels K = LADDER_START, ...,
+    cutoff + 1, each solved on the kets of the cutoff box with at most K
+    excitations (the box itself is cap 2 cutoff + 1).  Level K is accepted
+    when every output is within LADDER_RTOL of level K - 1, relative to its
+    own value.  A point that no level accepts, or where a level raises a
+    package error or reads a non-finite output, is solved on the box
+    (BOX_LEVEL), which alone decides its error code; a failed box solve keeps
+    the outputs read so far and nan for the rest.
     """
-    if cutoff <= LADDER_START:
-        return None
     previous = None
-    for level in range(LADDER_START, cutoff + 2):
+    for level in range(LADDER_START, cutoff + 2) if cutoff > LADDER_START else ():
         try:
             rho = solve_steady(params, cutoff, cutoff, level)
             out = [read(rho) for read in readers]
         except BicavityError:
-            return None
+            break
         if not all(math.isfinite(v) for v in out):
-            return None
+            break
         if previous is not None and all(
             abs(v - w) <= LADDER_RTOL * abs(v) for v, w in zip(out, previous)
         ):
-            return level, out, rho.residual
+            return out, ERROR_CODES["ok"], rho.residual, level
         previous = out
-    return None
+    out, code, residual = [math.nan] * len(readers), ERROR_CODES["ok"], math.nan
+    try:
+        rho = solve_steady(params, cutoff, cutoff)
+        residual = rho.residual
+        for k, read in enumerate(readers):
+            out[k] = read(rho)
+    except BicavityError as exc:
+        code = ERROR_CODES[exc.code]
+    return out, code, residual, BOX_LEVEL
 
 
 def _master_rows(spec: SweepSpec, readers, thetas: np.ndarray, threads: int):
-    """Solve the master equation point by point and read its outputs.
+    """Each point's _master_row, on a pool of threads if threads > 1, in row order.
 
-    Each point runs the ladder (caps up to cutoff + 1) first and falls back to
-    the box.  On failure a point keeps the outputs read so far and nan for the
-    rest.  The metadata lines are max_residual, the largest residual of the
-    solved points, and above cutoff LADDER_START master_levels, the count of
-    points decided at each accepted ladder level 4, ..., cutoff + 1 and at the
-    box (BOX_LEVEL).
+    The metadata lines are max_residual, the largest residual of the solved
+    points, and above cutoff LADDER_START master_levels, the count of points
+    decided at each accepted level LADDER_START + 1, ..., cutoff + 1 and at
+    the box (BOX_LEVEL).
     """
-
-    def work(row):
-        params = SystemParams(*row.tolist())
-        accepted = _ladder(params, spec.cutoff, readers)
-        if accepted is not None:
-            level, out, residual = accepted
-            return out, ERROR_CODES["ok"], residual, level
-        out = [math.nan] * len(readers)
-        residual = math.nan
-        try:
-            rho = solve_steady(params, spec.cutoff, spec.cutoff)
-            residual = rho.residual
-            for k, read in enumerate(readers):
-                out[k] = read(rho)
-        except BicavityError as exc:
-            return out, ERROR_CODES[exc.code], residual, BOX_LEVEL
-        return out, ERROR_CODES["ok"], residual, BOX_LEVEL
-
+    params = [SystemParams(*row) for row in thetas.tolist()]
+    decide = partial(_master_row, cutoff=spec.cutoff, readers=readers)
     if threads > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(work, thetas))
+            results = list(pool.map(decide, params))
     else:
-        results = [work(row) for row in thetas]
-    values = np.array([out for out, _, _, _ in results], dtype=float).reshape(len(thetas), -1)
-    codes = np.array([code for _, code, _, _ in results], dtype=int)
-    residuals = [r for _, _, r, _ in results if not math.isnan(r)]
-    lines = {"max_residual": repr(max(residuals)) if residuals else "nan"}
+        results = list(map(decide, params))
+    outs, codes, residuals, levels = zip(*results)
+    solved = [r for r in residuals if not math.isnan(r)]
+    lines = {"max_residual": repr(max(solved)) if solved else "nan"}
     if spec.cutoff > LADDER_START:
-        levels = Counter(level for _, _, _, level in results)
+        counts = Counter(levels)
         decided = [*range(LADDER_START + 1, spec.cutoff + 2), BOX_LEVEL]
-        lines["master_levels"] = ";".join(f"{level}:{levels[level]}" for level in decided)
-    return values, codes, lines
+        lines["master_levels"] = ";".join(f"{level}:{counts[level]}" for level in decided)
+    return np.array(outs, dtype=float), np.array(codes, dtype=int), lines
 
 
 def _analytic_rows(spec: SweepSpec, readers, thetas: np.ndarray, threads: int):
@@ -372,6 +355,15 @@ def _spectrum_rows(spec: SweepSpec, readers, thetas: np.ndarray, threads: int):
     return values, np.where(unfit, ERROR_CODES[BicavityError.code], ERROR_CODES["ok"]), {}
 
 
+def _plan(outputs) -> dict[str, list[str]]:
+    """{engine: its requested outputs}, both in the order of _OUTPUTS, which is the run order."""
+    plan: dict[str, list[str]] = {}
+    for name, (engine, _) in _OUTPUTS.items():
+        if name in outputs:
+            plan.setdefault(engine, []).append(name)
+    return plan
+
+
 _ENGINES = {"master_equation": _master_rows, "analytic": _analytic_rows, "spectrum": _spectrum_rows}
 
 
@@ -383,11 +375,7 @@ def run_sweep(spec: SweepSpec, threads: int = 1) -> ResultTable:
     values = np.full((len(thetas), len(spec.outputs)), np.nan)
     codes = np.zeros(len(thetas), dtype=int)
     lines: dict[str, str] = {}
-    plan: dict[str, list[str]] = {}
-    for name, (engine, _) in _OUTPUTS.items():
-        if name in spec.outputs:
-            plan.setdefault(engine, []).append(name)
-    for engine, names in plan.items():
+    for engine, names in _plan(spec.outputs).items():
         live = np.flatnonzero(codes == ERROR_CODES["ok"])
         readers = [_OUTPUTS[name][1] for name in names]
         engine_values, codes[live], engine_lines = _ENGINES[engine](spec, readers, thetas[live], threads)

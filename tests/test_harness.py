@@ -61,6 +61,18 @@ def test_spec_validation():
         small_spec(cutoff=0)
 
 
+@pytest.mark.parametrize("cutoff", [True, False, 2.0, "2", None])
+def test_cutoff_must_be_an_integer(cutoff):
+    with pytest.raises(errors.InvalidTruncationError, match="photon cutoff must be an integer"):
+        small_spec(cutoff=cutoff)
+
+
+def test_numpy_integer_cutoff_is_an_integer():
+    table = run_sweep(small_spec(cutoff=np.int64(2)))
+    assert table == run_sweep(small_spec(cutoff=2))
+    assert table.metadata["cutoff_n_a"] == "2"
+
+
 def test_repeated_output_rejected():
     with pytest.raises(ValueError, match="output 'g2_analytic' is requested twice"):
         small_spec(outputs=("g2_analytic", "c1_abs2", "g2_analytic"))
@@ -539,8 +551,8 @@ def test_all_presets_construct():
 
 def test_preset_details():
     fig2 = figure_preset("fig2")
-    assert fig2.engine == "analytic"
-    assert figure_preset("fig3").engine == "both"
+    assert fig2.engine == "spectrum"
+    assert figure_preset("fig3").engine == "master_equation,analytic"
     assert figure_preset("fig7").engine == "analytic"
     assert figure_preset("fig4a").engine == "master_equation"
     assert fig2.axes[0].values == (32.0, 240.0)
@@ -562,8 +574,10 @@ def test_preset_details():
 
 
 def test_engine_follows_outputs():
-    assert small_spec(outputs=("g2_ccw", "p_t")).engine == "master_equation"
-    assert small_spec(outputs=("p_t",)).engine == "analytic"
+    assert small_spec(outputs=("g2_ccw", "p_t")).engine == "master_equation,spectrum"
+    assert small_spec(outputs=("p_t",)).engine == "spectrum"
+    # run order, whatever the order of the outputs
+    assert small_spec(outputs=("p_r", "c1_abs2", "n_cw")).engine == "master_equation,analytic,spectrum"
     with pytest.raises(TypeError):
         small_spec(engine="analytic")
 

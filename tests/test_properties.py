@@ -16,7 +16,9 @@ amplitudes, with the emitter coupled and dephased.  spectrum()'s fields are
 the weak-drive system's one-photon amplitudes at kappa = 1 and unit drive.  The
 reference for a master-equation sweep row is solve_steady's box at the same
 cutoff: a row the excitation-capped ladder accepts is within its tolerance,
-and any other row is the box's bit for bit.
+and any other row is the box's bit for bit.  An accepted row is also its
+level's solve, within the tolerance of the level below, as the ladder's rule
+states.
 """
 
 import dataclasses
@@ -555,7 +557,7 @@ def test_master_equation_failure_leaves_analytic_cells_nan(monkeypatch):
         cutoff=2,
         tie_delta_a=True,
     )
-    assert spec.engine == "both"
+    assert spec.engine == "master_equation,analytic"
     table = run_sweep(spec)
     assert list(table.column("error")) == [0.0, ERROR_CODES["solver_failure"], 0.0]
     assert np.isnan(table.rows[1][1:4]).all()
@@ -620,6 +622,39 @@ def test_ladder_row_matches_the_box(p):
         assert level in (4, 5) and code == ERROR_CODES["ok"]
         for got, ref in zip(out, want, strict=True):
             assert abs(got - ref) <= sweep.LADDER_RTOL * abs(ref)
+
+
+@settings(PROPERTY_SETTINGS, max_examples=40)
+@given(ladder_points())
+def test_accepted_level_is_within_tolerance_of_the_level_below(p):
+    readers = [sweep._OUTPUTS[name][1] for name in LADDER_OUTPUTS]
+    out, code, residual, level = sweep._master_row(p, 4, readers)
+    assume(level != sweep.BOX_LEVEL)
+    assert code == ERROR_CODES["ok"]
+    rho = solve_steady(p, 4, 4, level)
+    assert out == [read(rho) for read in readers] and residual == rho.residual
+    below = solve_steady(p, 4, 4, level - 1)
+    for got, ref in zip(out, [read(below) for read in readers], strict=True):
+        assert abs(got - ref) <= sweep.LADDER_RTOL * abs(got)
+
+
+@pytest.mark.parametrize("cutoff", [1, 2, 3])
+def test_master_row_below_the_ladder_solves_the_box_once(cutoff):
+    calls = []
+    solve = sweep.solve_steady
+
+    def recording(params, *cutoffs, **kwargs):
+        calls.append((cutoffs, kwargs))
+        return solve(params, *cutoffs, **kwargs)
+
+    p = reference_baseline()
+    readers = [sweep._OUTPUTS["g2_ccw"][1]]
+    with mock.patch.object(sweep, "solve_steady", recording):
+        out, code, residual, level = sweep._master_row(p, cutoff, readers)
+    assert calls == [((cutoff, cutoff), {})]
+    assert (code, level) == (ERROR_CODES["ok"], sweep.BOX_LEVEL)
+    rho = solve_steady(p, cutoff, cutoff)
+    assert out == [g2_zero(rho, "ccw")] and residual == rho.residual
 
 
 @settings(PROPERTY_SETTINGS, max_examples=30)
