@@ -5,7 +5,7 @@ Library layout:
 * params       -- SystemParams (all rates in one frequency unit)
 * fock         -- truncated composite space and elementary operators
 * dynamics     -- Hamiltonians and the Lindblad generator (cached affine table)
-* steadystate  -- steady-state solve, photon numbers, g2(0)
+* steadystate  -- steady-state solve plan and solve, photon numbers, g2(0)
 * weakdrive    -- two-excitation ansatz, closed-form amplitudes and g2(0),
                   linear-response transmission/reflection spectra, scatterer coupling
 * sweep        -- parameter sweeps, figure presets, CSV output
@@ -33,12 +33,13 @@ from .fock import (
     emitter_lowering,
     pauli_z,
 )
-from .dynamics import Superoperator, liouvillian
 from .steadystate import (
     DensityMatrix,
+    Superoperator,
     TruncationReport,
     check_truncation,
     g2_zero,
+    liouvillian,
     master_equation_g2,
     mean_photon,
     solve_steady,

@@ -19,6 +19,7 @@ operator restricted to the kept kets; so are products such as a'a and a'b.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -43,6 +44,11 @@ class FockSpace:
     max_excitation: int | None = None
 
     def __post_init__(self):
+        for value in (self.n_a_max, self.n_b_max, self.max_excitation):
+            if value is not None and not _is_integer(value):
+                raise InvalidTruncationError(
+                    f"photon cutoffs and excitation cap must be integers, got {value!r}"
+                )
         if self.n_a_max < 1 or self.n_b_max < 1:
             raise InvalidTruncationError(
                 f"photon cutoffs must be >= 1, got ({self.n_a_max}, {self.n_b_max})"
@@ -61,15 +67,12 @@ class FockSpace:
         kets = np.indices((self.n_a_max + 1, self.n_b_max + 1, 2)).reshape(3, -1)
         if self.max_excitation is not None:
             kets = kets[:, kets.sum(axis=0) <= self.max_excitation]
-        kets.setflags(write=False)
-        return kets
+        return _frozen(kets)
 
     @cached_property
     def excitations(self) -> np.ndarray:
         """Total excitation k = n_a + n_b + e of each kept ket (read-only)."""
-        k = self.kets.sum(axis=0)
-        k.setflags(write=False)
-        return k
+        return _frozen(self.kets.sum(axis=0))
 
     @property
     def dim(self) -> int:
@@ -104,6 +107,17 @@ class FockSpace:
     def labels(self):
         """All basis labels in flat-index order."""
         return [self.label(k) for k in range(self.dim)]
+
+
+def _frozen(a: np.ndarray) -> np.ndarray:
+    """a, made read-only."""
+    a.setflags(write=False)
+    return a
+
+
+def _is_integer(value) -> bool:
+    """An int or numpy integer, but not a bool."""
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
 
 
 def build_space(n_a_max: int, n_b_max: int, max_excitation: int | None = None) -> FockSpace:

@@ -36,7 +36,6 @@ Two axes may not set the same field, and an output is requested at most once.
 from __future__ import annotations
 
 import math
-import numbers
 import warnings
 from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
@@ -49,6 +48,7 @@ from . import __version__
 from .errors import (AnalyticSingularityError, BicavityError, InvalidTruncationError,
                      SweepError, UndefinedCorrelationError, WeakDriveDomainError)
 from .dynamics import FIELDS, theta
+from .fock import _is_integer
 from .params import SystemParams, check_field, reference_baseline
 from .steadystate import g2_zero, mean_photon, solve_steady
 from .weakdrive import (
@@ -152,7 +152,7 @@ class SweepSpec:
             raise ValueError("a sweep has one or two axes")
         if not self.outputs:
             raise ValueError("at least one output is required")
-        if isinstance(self.cutoff, bool) or not isinstance(self.cutoff, numbers.Integral):
+        if not _is_integer(self.cutoff):
             raise InvalidTruncationError(f"photon cutoff must be an integer, got {self.cutoff!r}")
         if self.cutoff < 1:
             raise InvalidTruncationError(f"photon cutoff must be >= 1, got {self.cutoff}")

@@ -18,8 +18,9 @@ ARGS = {"06_figure_tables.py": ["--only", "fig2", "fig7", "--cutoff", "2", "--ou
 @pytest.mark.parametrize("demo", DEMOS, ids=lambda path: path.name)
 def test_demo_runs(demo, tmp_path):
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    # -W error: a warning fails the demo, as pyproject.toml's filterwarnings fail a test.
     result = subprocess.run(
-        [sys.executable, str(demo), *ARGS.get(demo.name, [])],
+        [sys.executable, "-W", "error", str(demo), *ARGS.get(demo.name, [])],
         cwd=tmp_path, env=env, capture_output=True, text=True, timeout=300,
     )
     assert result.returncode == 0, result.stderr

@@ -10,8 +10,14 @@ from bicavity import (
     build_space,
     reference_baseline,
 )
-from bicavity.dynamics import FIELDS, from_real_coordinates, operator_table
-from test_properties import generator_action, kronecker_liouvillian, random_density
+from bicavity.dynamics import FIELDS, operator_table
+from bicavity.steadystate import _layout, solve_plan
+from test_properties import (
+    from_real_coordinates,
+    generator_action,
+    kronecker_liouvillian,
+    random_density,
+)
 
 
 def total_excitation(label):
@@ -174,7 +180,7 @@ def twin_entries(table) -> np.ndarray:
     """Generator entries the layout leaves out: Im columns between groups m >= 1."""
     group = excitation_groups(table.space)
     rows, cols, _ = table.generator
-    return np.flatnonzero((group[rows] > 0) & np.isin(cols, table.blocks.imag))
+    return np.flatnonzero((group[rows] > 0) & np.isin(cols, solve_plan(table.space).imag))
 
 
 def grading_violations(table) -> int:
@@ -203,7 +209,7 @@ def test_only_the_drive_joins_neighbouring_groups(cutoffs):
     # The solver's layout: group 0 holds the positions with k_i = k_j, vec
     # position 0 first; group m >= 1 holds complex slots rho_uv with
     # k_v - k_u = m, each with a Re and an Im position.
-    layout = table.blocks
+    layout = solve_plan(table.space)
     dim = table.space.dim
     k = excitations(table.space)
     group = excitation_groups(table.space)
@@ -225,7 +231,7 @@ def test_only_the_drive_joins_neighbouring_groups(cutoffs):
 
 @pytest.mark.parametrize("cutoffs", CUTOFFS)
 def test_gather_then_scatter_returns_the_coordinates(cutoffs):
-    layout = operator_table(build_space(*cutoffs)).blocks
+    layout = solve_plan(build_space(*cutoffs))
     x = np.random.default_rng(sum(cutoffs)).standard_normal(layout.order.size + layout.imag.size)
     assert np.array_equal(layout.scatter(layout.gather(x)), x)
 
@@ -235,7 +241,7 @@ def test_assembled_blocks_act_as_the_generator(cutoffs):
     # Each elimination step's buffer holds its blocks; together they are the
     # block-tridiagonal generator, and L[b, b-1]'s extra column starts at zero.
     table = operator_table(build_space(*cutoffs))
-    layout = table.blocks
+    layout = solve_plan(table.space)
     rng = np.random.default_rng(sum(cutoffs))
     values = table.values(SystemParams(*rng.uniform(0.5, 2.0, len(FIELDS))))
     x = rng.standard_normal(table.space.dim**2)
@@ -256,7 +262,7 @@ def test_plan_reads_rho_and_its_largest_entry_as_the_generic_map(cutoffs):
     # The plan's index maps give from_real_coordinates bit for bit on finite
     # coordinates (zeros of either sign included), and its max |rho_ij| on any.
     space = build_space(*cutoffs)
-    layout, dim = operator_table(space).blocks, space.dim
+    layout, dim = solve_plan(space), space.dim
     rng = np.random.default_rng(sum(cutoffs))
     x = rng.standard_normal(dim**2) * rng.integers(0, 2, dim**2)
     x[rng.integers(0, 2, dim**2) == 1] *= -1.0
@@ -279,7 +285,7 @@ def test_a_twin_that_breaks_complex_linearity_is_caught():
     broken = dataclasses.replace(table)
     vars(broken)["generator"] = (rows, cols, parts)
     with pytest.raises(AssertionError):
-        broken.blocks
+        _layout(broken)
 
 
 def test_a_term_that_breaks_the_grading_is_caught():
@@ -293,4 +299,4 @@ def test_a_term_that_breaks_the_grading_is_caught():
     broken = dataclasses.replace(table, nonhermitian={**table.nonhermitian, "delta": two_photon})
     assert grading_violations(broken) > 0
     with pytest.raises(AssertionError):
-        broken.blocks
+        _layout(broken)

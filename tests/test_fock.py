@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from bicavity import (
+    FockSpace,
     InvalidTruncationError,
     annihilator,
     build_space,
@@ -16,10 +17,18 @@ def test_dimensions(na, nb, dim):
     assert build_space(na, nb).dim == dim
 
 
-@pytest.mark.parametrize("na,nb", [(0, 2), (2, 0), (-1, 3)])
+# Bools and non-integral numbers are refused, as are cutoffs below one.
+@pytest.mark.parametrize("na,nb", [(0, 2), (2, 0), (-1, 3), (True, True), (2.5, 2), (2, 2.0),
+                                   pytest.param("2", 2, id="str-2")])
 def test_invalid_truncation(na, nb):
     with pytest.raises(InvalidTruncationError):
         build_space(na, nb)
+
+
+def test_numpy_integer_truncation_accepted():
+    space = FockSpace(np.int64(2), np.int32(2), np.int64(3))
+    assert space == build_space(2, 2, 3)
+    assert space.dim == build_space(2, 2, 3).dim
 
 
 def test_index_round_trip():
@@ -193,7 +202,8 @@ def test_cap_above_every_ket_is_the_box(na, nb):
     assert build_space(na, nb, na + nb).dim == box.dim - 1  # only |na, nb, +> goes
 
 
-@pytest.mark.parametrize("cap", [0, -1])
+# A cap below one, and one that is not an integer, is refused.
+@pytest.mark.parametrize("cap", [0, -1, 2.5, True])
 def test_cap_below_one_rejected(cap):
     with pytest.raises(InvalidTruncationError, match="excitation cap"):
         build_space(2, 2, cap)

@@ -56,7 +56,7 @@ from bicavity import (
     value_axis,
 )
 from bicavity import sweep
-from bicavity.dynamics import from_real_coordinates, operator_table, theta
+from bicavity.dynamics import operator_table, theta
 from bicavity.steadystate import PSD_TOL, UNDERFLOW_GUARD
 from bicavity.weakdrive import _KETS, abs2, solve_weak_drive_rows
 
@@ -102,6 +102,14 @@ def random_density(rng, dim):
 def real_coordinates(rho: np.ndarray) -> np.ndarray:
     """Hermitian real coordinates of rho: the inverse of from_real_coordinates."""
     return (np.triu(rho.real) + np.tril(rho.imag.T, -1)).flatten(order="F")
+
+
+def from_real_coordinates(x: np.ndarray, dim: int) -> np.ndarray:
+    """Hermitian matrix whose Hermitian real coordinates are x: the inverse of
+    real_coordinates, and the reference for BlockLayout.matrix and .largest."""
+    m = x.reshape((dim, dim), order="F")
+    upper, lower = np.triu(m, 1), np.tril(m, -1)
+    return np.diag(np.diag(m)) + upper + upper.T + 1j * (lower.T - lower)
 
 
 def generator_action(p: SystemParams, space, rho: np.ndarray) -> np.ndarray:

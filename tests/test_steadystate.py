@@ -7,6 +7,7 @@ import pytest
 from bicavity import (
     DegenerateSteadyStateError,
     DensityMatrix,
+    InvalidTruncationError,
     SteadyStateSolverError,
     SystemParams,
     UndefinedCorrelationError,
@@ -189,8 +190,9 @@ def test_refinement_recovers_a_strong_drive_elimination(g_a, cutoff):
     space = build_space(cutoff, cutoff)
     table = operator_table(space)
     values = table.values(p)
-    x = steadystate._block_solve(table.blocks, values, np.eye(space.dim**2)[0])
-    assert steadystate._state(table, values, x)[1] > RESIDUAL_TOL
+    layout = steadystate.solve_plan(space)
+    x = steadystate._block_solve(layout, values, np.eye(space.dim**2)[0])
+    assert steadystate._state(table, layout, values, x)[1] > RESIDUAL_TOL
 
     rho = solve_steady(p, cutoff, cutoff)
     assert rho.residual <= RESIDUAL_TOL
@@ -253,6 +255,28 @@ def test_the_cached_plan_holds_no_point_state(threads):
     again = solve_steady(p1, 2, 2)
     assert again.matrix.tobytes() == first.matrix.tobytes()
     assert again.residual.hex() == first.residual.hex()
+
+
+def test_the_plan_is_one_object_per_space(monkeypatch):
+    calls = counted_block_solves(monkeypatch)
+    solve_steady(reference_baseline(), 2, 2)
+    solve_steady(reference_baseline(delta=-40.0), 2, 2)
+    plan = steadystate.solve_plan(build_space(2, 2))
+    assert len(calls) == 2 and all(args[0] is plan for args in calls)
+    assert steadystate.solve_plan(build_space(2, 2, 3)) is not plan
+
+
+def test_a_fractional_excitation_cap_is_rejected():
+    with pytest.raises(InvalidTruncationError, match="must be integers"):
+        solve_steady(reference_baseline(), 2, 2, 2.5)
+
+
+@pytest.mark.parametrize("base", [2.5, 3.0, True])
+def test_a_non_integer_truncation_base_is_rejected_before_any_solve(monkeypatch, base):
+    calls = counted_block_solves(monkeypatch)
+    with pytest.raises(InvalidTruncationError, match="base_cutoff must be an integer"):
+        check_truncation(reference_baseline(), base)
+    assert calls == []
 
 
 def counted_block_solves(monkeypatch) -> list:
